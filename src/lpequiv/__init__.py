@@ -2,7 +2,7 @@
 
 Given A x = b with more unknowns than equations, this package solves the
 sparsest-solution problem and the concave power-objective relaxations
-min sum(|x_i|^p) (0 < p <= 1) exactly by polytope vertex enumeration, and
+min sum(|x_i|^p) (0 < p <= 1) exactly by enumerating basic solutions, and
 certifies an exponent threshold below which every relaxation minimizer is a
 sparsest solution.
 """
@@ -46,10 +46,11 @@ from .polytope import (
     omega_of_r,
 )
 from .solvers import (
+    BasicTable,
     LpSolution,
     SparseSolution,
+    basic_table,
     lp_objective,
-    recover_sign,
     solve_l0,
     solve_lp_corank1,
     solve_lp_extreme,
@@ -67,6 +68,7 @@ from .system import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BasicTable",
     "BlowupLimit",
     "Caps",
     "CorankMismatch",
@@ -92,6 +94,7 @@ __all__ = [
     "Unbounded",
     "VertexSet",
     "ZeroRhs",
+    "basic_table",
     "build_lambda",
     "certificate_report",
     "compute_bound",
@@ -109,7 +112,6 @@ __all__ = [
     "lp_objective",
     "omega_of_r",
     "parse_instance_text",
-    "recover_sign",
     "scan_pstar",
     "solution_at",
     "solve_l0",

@@ -6,8 +6,10 @@ the objective along a one-dimensional solution line into CSV, and ``scan``
 tabulates the equivalence check over an exponent grid.
 
 Exit codes: 0 success, 2 parse/usage error, 3 invalid system, 4 size cap
-exceeded, 5 corank mismatch. A JSON config file named by the LPEQUIV_CONFIG
-environment variable supplies defaults; command-line flags win.
+exceeded, 5 corank mismatch, 6 any other library error (an unbounded
+polyhedron, or a vertex set with no nonzero coordinate). A JSON config file
+named by the LPEQUIV_CONFIG environment variable supplies defaults;
+command-line flags win.
 """
 from __future__ import annotations
 
@@ -27,12 +29,13 @@ from .errors import (
     DimensionMismatch,
     InconsistentSystem,
     InstanceParseError,
+    LpEquivError,
     NotUnderdetermined,
     NumericalRankFailure,
     ZeroRhs,
 )
 from .report import dump_csv, dump_json, format_float
-from .solvers import lp_objective, solve_l0, solve_lp_extreme
+from .solvers import basic_table, lp_objective, solve_l0, solve_lp_extreme
 from .system import decompose, load_instance
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -46,6 +49,7 @@ EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_BLOWUP = 4
 EXIT_CORANK = 5
+EXIT_LIBRARY = 6
 
 
 @dataclass(frozen=True)
@@ -162,12 +166,13 @@ def _solution_entry(sol) -> dict:
 
 def cmd_analyze(args, cfg: RunConfig, out) -> int:
     inst = load_instance(args.instance, tol=cfg.tolerances)
-    param = decompose(inst, tol=cfg.tolerances)
+    table = basic_table(inst, tol=cfg.tolerances, caps=cfg.caps)
+    param = table.param
     p_values = args.p if args.p is not None else cfg.p_values
     radius = args.radius if args.radius is not None else cfg.radius_override
-    sols = solve_l0(inst, tol=cfg.tolerances)
     cert = verify_equivalence(
-        inst, p_values, radius_override=radius, tol=cfg.tolerances, caps=cfg.caps
+        inst, p_values, radius_override=radius, tol=cfg.tolerances, caps=cfg.caps,
+        table=table,
     )
     report = {
         "instance": {
@@ -180,7 +185,7 @@ def cmd_analyze(args, cfg: RunConfig, out) -> int:
         "null_basis": [[float(v) for v in row] for row in param.N],
         "sparsest": {
             "k0": cert.k0,
-            "solutions": [_solution_entry(s) for s in sols],
+            "solutions": [_solution_entry(s) for s in table.sparsest()],
         },
         "certificate": certificate_report(cert),
     }
@@ -216,7 +221,7 @@ def _analyze_text(report: dict) -> str:
 def cmd_solve(args, cfg: RunConfig, out) -> int:
     inst = load_instance(args.instance, tol=cfg.tolerances)
     if args.l0:
-        sols = solve_l0(inst, tol=cfg.tolerances)
+        sols = solve_l0(inst, tol=cfg.tolerances, caps=cfg.caps)
         report = {
             "mode": "l0",
             "k0": sols[0].l0,
@@ -361,6 +366,9 @@ def main(argv=None, out=None) -> int:
     except CorankMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CORANK
+    except LpEquivError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIBRARY
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -8,7 +8,11 @@ solution whenever
     p < (ln(k0 + 1) - ln k0) / (ln r - ln r_m).
 
 This module computes the radii, the granularity constant, the bound, and
-verifies the claim empirically over user-chosen exponent grids.
+verifies the claim empirically over user-chosen exponent grids. A command
+builds one basic-solution table per instance: k0, r0 and every exponent's
+minimizers are read from it, so the only polytope work is the single
+vertex enumeration of G(r1) behind r_m, and a scan's cost does not grow
+with the length of its grid.
 """
 from __future__ import annotations
 
@@ -20,8 +24,8 @@ import numpy as np
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import NoNonzeroCoordinate
 from .polytope import g_vertices
-from .solvers import solve_l0, solve_lp_extreme
-from .system import Instance, decompose
+from .solvers import BasicTable, basic_table
+from .system import Instance, SolutionParam, decompose
 
 __all__ = [
     "PVerification",
@@ -85,6 +89,14 @@ class ScanResult:
     smallest_fail: float | None
 
 
+def _radii(table: BasicTable) -> tuple[int, float, float]:
+    """(k0, r0, r1) read from an instance's basic-solution table."""
+    k0 = int(np.min(table.l0))
+    r0 = float(np.max(np.abs(table.x[table.l0 == k0])))
+    r1 = table.x.shape[1] * float(np.max(np.abs(table.param.x_ls)))
+    return k0, r0, r1
+
+
 def compute_radii(
     inst: Instance, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[float, float, float]:
@@ -94,9 +106,7 @@ def compute_radii(
     magnitude appearing in any sparsest solution; r = max(r0, r1) bounds
     both problems at once.
     """
-    param = decompose(inst, tol=tol)
-    r1 = inst.n * float(np.max(np.abs(param.x_ls)))
-    r0 = max(float(np.max(np.abs(s.x))) for s in solve_l0(inst, tol=tol))
+    _, r0, r1 = _radii(basic_table(inst, tol=tol))
     return r0, r1, max(r0, r1)
 
 
@@ -105,9 +115,15 @@ def compute_rm(
     r: float,
     tol: Tolerances = DEFAULT_TOLERANCES,
     caps: Caps = DEFAULT_CAPS,
+    *,
+    param: SolutionParam | None = None,
 ) -> float:
-    """Smallest nonzero coordinate over all extreme points of G(r)."""
-    param = decompose(inst, tol=tol)
+    """Smallest nonzero coordinate over all extreme points of G(r).
+
+    ``param`` is the instance's parameterization, if the caller has it.
+    """
+    if param is None:
+        param = decompose(inst, tol=tol)
     vs = g_vertices(param, r, tol=tol, caps=caps)
     best = math.inf
     for z in vs.points:
@@ -127,6 +143,8 @@ def compute_bound(
     radius_override: float | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
     caps: Caps = DEFAULT_CAPS,
+    *,
+    table: BasicTable | None = None,
 ) -> EquivalenceCertificate:
     """Assemble the equivalence certificate.
 
@@ -138,12 +156,11 @@ def compute_bound(
 
     When r_used <= r_m the bound degenerates: the sufficient inequality holds
     for every exponent in (0, 1), so p_bound is 1 with ``capped`` set.
+    ``table`` is the instance's basic-solution table, if the caller has it.
     """
-    sols = solve_l0(inst, tol=tol)
-    k0 = sols[0].l0
-    param = decompose(inst, tol=tol)
-    r1 = inst.n * float(np.max(np.abs(param.x_ls)))
-    r0 = max(float(np.max(np.abs(s.x))) for s in sols)
+    if table is None:
+        table = basic_table(inst, tol=tol, caps=caps)
+    k0, r0, r1 = _radii(table)
     r = max(r0, r1)
     if radius_override is not None:
         r_used = float(radius_override)
@@ -153,7 +170,7 @@ def compute_bound(
     else:
         r_used = r
         source = RADIUS_DEFAULT
-    r_m = compute_rm(inst, r1, tol=tol, caps=caps)
+    r_m = compute_rm(inst, r1, tol=tol, caps=caps, param=table.param)
     denom = math.log(r_used) - math.log(r_m)
     # denominators within roundoff of zero mean r_used == r_m for all
     # practical purposes: the sufficient inequality then holds for every p
@@ -181,32 +198,37 @@ def verify_equivalence(
     radius_override: float | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
     caps: Caps = DEFAULT_CAPS,
+    *,
+    table: BasicTable | None = None,
 ) -> EquivalenceCertificate:
-    """Solve the power objective for each exponent and compare supports.
+    """Score the power objective for each exponent and compare supports.
 
-    For each p, all minimizers are computed exactly; ``holds`` requires every
-    one of them to have support size k0. Minimizers escaping the certified
-    box are recorded as in_box=False (a soundness warning for the certificate,
-    not an error).
+    For each p, all minimizers are read from one basic-solution table;
+    ``holds`` requires every one of them to have support size k0. Minimizers
+    escaping the certified box are recorded as in_box=False (a soundness
+    warning for the certificate, not an error). ``table`` is the instance's
+    basic-solution table, if the caller has it.
     """
     p_list = [float(p) for p in p_list]
     if not p_list:
         raise ValueError("p_list must be nonempty")
-    cert = compute_bound(inst, radius_override=radius_override, tol=tol, caps=caps)
-    box_tol = tol.feas_tol(cert.r_used)
+    if table is None:
+        table = basic_table(inst, tol=tol, caps=caps)
+    cert = compute_bound(
+        inst, radius_override=radius_override, tol=tol, caps=caps, table=table
+    )
+    reach = np.max(np.abs(table.x), axis=1)
+    box = cert.r_used + tol.feas_tol(cert.r_used)
     vers = []
     for p in p_list:
-        sols = solve_lp_extreme(inst, p, tol=tol, caps=caps)
-        counts = [s.l0(tol) for s in sols]
-        in_box = all(
-            float(np.max(np.abs(s.x))) <= cert.r_used + box_tol for s in sols
-        )
+        idx = table.minimizers(p)
+        counts = table.l0[idx]
         vers.append(
             PVerification(
                 p=p,
-                holds=all(c == cert.k0 for c in counts),
-                lp_l0=max(counts),
-                in_box=in_box,
+                holds=bool(np.all(counts == cert.k0)),
+                lp_l0=int(np.max(counts)),
+                in_box=bool(np.all(reach[idx] <= box)),
             )
         )
     return replace(cert, verifications=tuple(vers))

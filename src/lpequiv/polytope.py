@@ -126,6 +126,14 @@ class HPolyhedron:
         atol = tol.feas * (1.0 + scale)[:, None] * self.row_scales()[None, :]
         return np.all(slack <= atol, axis=1)
 
+    def active_rows(self, z, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+        """Indices of the rows that hold with equality at z, within tolerance."""
+        z = np.asarray(z, dtype=float)
+        resid = np.abs(self.H @ z - self.g)
+        scale = float(np.max(np.abs(z))) if z.size else 0.0
+        atol = tol.feas_tol(scale) * self.row_scales()
+        return np.flatnonzero(resid <= atol)
+
 
 @dataclass(frozen=True)
 class VertexSet:
@@ -422,13 +430,6 @@ def _numrank(M: np.ndarray, rel_tol: float) -> int:
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-def _active_rows(poly: HPolyhedron, z: np.ndarray, tol: Tolerances) -> np.ndarray:
-    resid = np.abs(poly.H @ z - poly.g)
-    scale = float(np.max(np.abs(z))) if z.size else 0.0
-    atol = tol.feas_tol(scale) * poly.row_scales()
-    return np.flatnonzero(resid <= atol)
-
-
 def _check_unbounded(poly: HPolyhedron, tol: Tolerances) -> None:
     """Best-effort recession-direction search among candidate rays.
 
@@ -494,7 +495,7 @@ def enumerate_vertices(
     points = []
     actives = []
     for z in cand:
-        act = _active_rows(poly, z, tol)
+        act = poly.active_rows(z, tol)
         if act.size < q or _numrank(poly.H[act], tol.rank) < q:
             continue
         points.append(z)
@@ -533,7 +534,7 @@ def g_vertices(
     points = []
     actives = []
     for z in cand:
-        act = _active_rows(gpoly, z, tol)
+        act = gpoly.active_rows(z, tol)
         if act.size < n or _numrank(gpoly.H[act], tol.rank) < n:
             continue
         points.append(z)

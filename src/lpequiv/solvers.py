@@ -1,32 +1,34 @@
 """Exact desk-scale solvers for the sparse and concave-power objectives.
 
-``solve_l0`` finds every sparsest solution by exhaustive support search.
-``solve_lp_extreme`` minimizes sum(|x_i|^p) for 0 < p <= 1 by scoring the
-extreme points of the modulus-dominance polytope: the objective is concave
-(strictly so for p < 1) on the nonnegative cone, hence its minimum over a
-polytope is attained at a vertex. ``solve_lp_corank1`` is an independent
-breakpoint oracle for one-dimensional solution sets.
+``basic_table`` solves every m-column block of A once and keeps each
+distinct basic solution. Every sparsest solution is basic, and so is every
+minimizer of sum(|x_i|^p) for 0 < p <= 1 (Ge, Jiang & Ye, Math. Prog. 2011):
+``solve_l0`` reads the rows of least support and ``solve_lp_extreme`` scores
+the rows with one power and one argmin. ``solve_lp_corank1`` is an
+independent breakpoint oracle for one-dimensional solution sets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
-from .errors import CorankMismatch, SignRecoveryFailure
-from .polytope import g_vertices
+from .errors import BlowupLimit, CorankMismatch, NumericalRankFailure
+from .polytope import g_of_r
 from .system import Instance, SolutionParam, decompose
 
 __all__ = [
     "SparseSolution",
     "LpSolution",
+    "BasicTable",
+    "basic_table",
     "lp_objective",
     "solve_l0",
     "solve_lp_extreme",
     "solve_lp_corank1",
-    "recover_sign",
 ]
 
 
@@ -90,81 +92,107 @@ def lp_objective(x, p: float) -> float:
     return float(np.sum(np.abs(x) ** p))
 
 
-def _support(x: np.ndarray, tol: Tolerances) -> tuple[int, ...]:
-    x_inf = float(np.max(np.abs(x))) if x.size else 0.0
-    return tuple(int(i) for i in np.flatnonzero(np.abs(x) > tol.zero_tol(x_inf)))
+@dataclass(frozen=True)
+class BasicTable:
+    """Every distinct basic solution of A x = b, one per row of ``x``.
+
+    A basic solution solves ``A_B x_B = b`` on a nonsingular m-column block B
+    and is zero off B. In each row, coordinates within the zero tolerance of
+    the row's largest magnitude are exact zeros, so ``l0`` is the support
+    size and ``sum(|x_i|^p)`` carries no dust. Among supports of one size,
+    rows are ordered lexicographically by support. ``residual`` is the
+    max-norm residual of the block solve; ``param`` is the instance's
+    least-norm parameterization, kept so that one table serves every query
+    on the instance.
+    """
+
+    param: SolutionParam
+    x: np.ndarray
+    residual: np.ndarray
+    l0: np.ndarray
+
+    def __post_init__(self):
+        for name in ("x", "residual", "l0"):
+            a = np.array(getattr(self, name))
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def minimizers(self, p: float) -> np.ndarray:
+        """Rows within a 1e-10 relative tie of the least sum(|x_i|^p)."""
+        p = _check_p(p)
+        objs = np.sum(np.abs(self.x) ** p, axis=1)
+        return np.flatnonzero(objs <= float(np.min(objs)) * (1.0 + 1e-10))
+
+    def sparsest(self) -> list[SparseSolution]:
+        """The rows of minimum support, ordered lexicographically by support."""
+        k0 = int(np.min(self.l0))
+        return [
+            SparseSolution(
+                x=self.x[i],
+                support=np.flatnonzero(self.x[i]),
+                l0=k0,
+                residual=float(self.residual[i]),
+            )
+            for i in np.flatnonzero(self.l0 == k0)
+        ]
 
 
-def solve_l0(inst: Instance, tol: Tolerances = DEFAULT_TOLERANCES) -> list[SparseSolution]:
-    """All minimum-support solutions, by exhaustive search over supports.
+def basic_table(
+    inst: Instance,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+    caps: Caps = DEFAULT_CAPS,
+) -> BasicTable:
+    """Solve all C(n, m) column blocks of the full-row-rank A in one batch.
 
-    For k = 0, 1, ... the least-squares fit on every k-column subset is
-    tested for feasibility; the first k with a hit is the minimum support
-    size. Output is ordered lexicographically by support.
+    Blocks below the ``tol.rank`` fraction of Hadamard's bound on their
+    determinant count as singular. A support inside a nonsingular block has
+    independent columns and so carries exactly one solution: rows that agree
+    on their support after the zero snap are one solution, kept once.
     """
     A, b = inst.A, inst.b
     m, n = A.shape
-    feas = tol.feas_tol(float(np.max(np.abs(b))))
-    for k in range(m + 1):
-        found: list[SparseSolution] = []
-        seen: set[tuple] = set()
-        for S in combinations(range(n), k):
-            if k == 0:
-                resid = float(np.max(np.abs(b)))
-            else:
-                cols = A[:, S]
-                xs, *_ = np.linalg.lstsq(cols, b, rcond=None)
-                resid = float(np.max(np.abs(cols @ xs - b)))
-            if resid > feas:
-                continue
-            x = np.zeros(n)
-            if k:
-                x[list(S)] = xs
-            key = tuple(np.round(x, 10))
-            if key in seen:
-                continue
-            seen.add(key)
-            found.append(
-                SparseSolution(
-                    x=x,
-                    support=_support(x, tol),
-                    l0=len(_support(x, tol)),
-                    residual=resid,
-                )
-            )
-        if found:
-            return found
-    raise AssertionError("full-rank system must admit a support of size m")
-
-
-def recover_sign(
-    z,
-    param: SolutionParam,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
-    """Invert the modulus map: find x with |x| = z (off-support zero) and A x = b.
-
-    Sign patterns are tried in a deterministic order: all-positive first,
-    then by increasing number of negative entries, lexicographic within each
-    count.
-    """
-    z = np.asarray(z, dtype=float)
-    A, b = param.instance.A, param.instance.b
-    feas = tol.feas_tol(float(np.max(np.abs(b))))
-    z_inf = float(np.max(np.abs(z))) if z.size else 0.0
-    support = [int(i) for i in np.flatnonzero(np.abs(z) > tol.zero_tol(z_inf))]
-    base = np.zeros(z.shape[0])
-    base[support] = np.abs(z[support])
-    for neg_count in range(len(support) + 1):
-        for negs in combinations(support, neg_count):
-            x = base.copy()
-            for i in negs:
-                x[i] = -x[i]
-            if float(np.max(np.abs(A @ x - b))) <= feas:
-                return x
-    raise SignRecoveryFailure(
-        f"no sign pattern over support {support} satisfies the system"
+    if n > caps.n_max:
+        raise BlowupLimit(
+            f"basic-solution table: n={n} unknowns ({comb(n, m)} column blocks) "
+            f"beyond cap n_max={caps.n_max}"
+        )
+    param = decompose(inst, tol=tol)
+    blocks = np.array(list(combinations(range(n), m)), dtype=np.intp)
+    sub = A[:, blocks].transpose(1, 0, 2)  # sub[k] = A[:, blocks[k]]
+    hadamard = np.prod(np.linalg.norm(sub, axis=1), axis=1)
+    ok = np.abs(np.linalg.det(sub)) > tol.rank * hadamard
+    blocks = blocks[ok]
+    rhs = np.broadcast_to(b[:, None], (blocks.shape[0], m, 1))
+    X = np.zeros((blocks.shape[0], n))
+    np.put_along_axis(X, blocks, np.linalg.solve(sub[ok], rhs)[..., 0], axis=1)
+    resid = np.max(np.abs(X @ A.T - b), axis=1)
+    keep = resid <= tol.feas_tol(float(np.max(np.abs(b))))
+    if not np.any(keep):
+        raise NumericalRankFailure("no column block yields a feasible basic solution")
+    X, resid = X[keep], resid[keep]
+    X[np.abs(X) <= tol.zero_tol(np.max(np.abs(X), axis=1))[:, None]] = 0.0
+    # np.unique sorts the zero masks, which orders equal-size supports
+    # lexicographically, and returns the first row of each
+    _, first = np.unique(X == 0.0, axis=0, return_index=True)
+    return BasicTable(
+        param=param,
+        x=X[first],
+        residual=resid[first],
+        l0=np.count_nonzero(X[first], axis=1),
     )
+
+
+def solve_l0(
+    inst: Instance,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+    caps: Caps = DEFAULT_CAPS,
+) -> list[SparseSolution]:
+    """All minimum-support solutions, ordered lexicographically by support.
+
+    A sparsest solution has independent support columns, hence is basic:
+    these are the rows of least support in the basic-solution table.
+    """
+    return basic_table(inst, tol=tol, caps=caps).sparsest()
 
 
 def solve_lp_extreme(
@@ -174,49 +202,47 @@ def solve_lp_extreme(
     tol: Tolerances = DEFAULT_TOLERANCES,
     caps: Caps = DEFAULT_CAPS,
 ) -> list[LpSolution]:
-    """All vertex minimizers of sum(|x_i|^p) subject to A x = b.
+    """All basic-solution minimizers of sum(|x_i|^p) subject to A x = b.
 
-    The search box radius defaults to the p-quasinorm of the least-norm
-    solution: any minimizer x satisfies |x_i| <= ||x||_p <= ||x_ls||_p, so the
-    box certifiably contains every minimizer. An override is accepted for
-    reproducing runs with externally supplied bounds; ``radius_active`` flags
-    minimizers that touch the box, which would indicate an unsound override.
+    By Ge, Jiang & Ye ("A note on the complexity of Lp minimization", Math.
+    Prog. 2011) every local minimizer for p < 1 is a basic solution; for
+    p = 1 the minimizers form a face of the solution polyhedron whose extreme
+    points are basic. So the minimizers are scored on the basic-solution
+    table: all rows within a 1e-10 relative objective tie are returned,
+    ordered lexicographically by modulus vector. Their modulus vectors are
+    exactly the vertex minimizers of G(r) at the default radius.
 
-    All vertices within a 1e-10 relative objective tie are returned, ordered
-    lexicographically by modulus vector. With very large radii the far box
-    corners are computed less accurately, which never affects the argmin set.
+    ``radius_used`` defaults to the p-quasinorm of the least-norm solution:
+    any minimizer x satisfies |x_i| <= ||x||_p <= ||x_ls||_p, so the box of
+    G(r) certifiably contains every minimizer. An override replaces that
+    radius but not the minimizer set; ``radius_active`` flags minimizers that
+    reach the override box, which shows the override does not bound them.
+    ``vertex_certificate`` lists the rows of G(r) active at the modulus
+    vector.
     """
     p = _check_p(p)
-    param = decompose(inst, tol=tol)
+    table = basic_table(inst, tol=tol, caps=caps)
     if radius_override is not None:
         r = float(radius_override)
         if not r > 0.0:
             raise ValueError(f"radius override must be positive, got {r}")
     else:
-        r = float(np.sum(np.abs(param.x_ls) ** p) ** (1.0 / p))
-    vs = g_vertices(param, r, tol=tol, caps=caps)
-    if len(vs) == 0:
-        raise ValueError(
-            f"radius {r} leaves no feasible modulus vector; override too small"
-        )
-    objs = np.sum(np.abs(vs.points) ** p, axis=1)
-    best = float(np.min(objs))
-    tie = objs <= best * (1.0 + 1e-10)
+        r = float(np.sum(np.abs(table.param.x_ls) ** p) ** (1.0 / p))
+    gpoly = g_of_r(table.param, r, tol=tol, caps=caps)
+    idx = table.minimizers(p)
+    idx = idx[np.lexsort(np.abs(table.x[idx]).T[::-1])]
     solutions: list[LpSolution] = []
-    for idx in np.flatnonzero(tie):
-        z = vs.points[idx]
-        x = recover_sign(z, param, tol=tol)
-        x_inf = float(np.max(np.abs(x))) if x.size else 0.0
-        active_box = bool(x_inf >= r - tol.dedup_tol(r))
+    for x in table.x[idx]:
+        z = np.abs(x)
         solutions.append(
             LpSolution(
                 p=p,
                 x=x,
                 objective=lp_objective(x, p),
-                z=np.abs(x),
-                vertex_certificate=vs.active_sets[idx],
+                z=z,
+                vertex_certificate=tuple(int(i) for i in gpoly.active_rows(z, tol)),
                 radius_used=r,
-                radius_active=active_box,
+                radius_active=bool(np.max(z) >= r - tol.dedup_tol(r)),
             )
         )
     return solutions

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lpequiv import compute_bound
+from lpequiv import NoNonzeroCoordinate, compute_bound, equivalence
 from lpequiv.cli import main
 
 
@@ -204,6 +204,16 @@ class TestErrorPaths:
     def test_missing_file_exit2(self):
         code, _ = run_cli(["analyze", "/nonexistent/path.txt"])
         assert code == 2
+
+    def test_other_library_error_exit6(self, ex1_file, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise NoNonzeroCoordinate("all vertices are numerically zero")
+
+        monkeypatch.setattr(equivalence, "compute_rm", fail)
+        code, text = run_cli(["analyze", ex1_file, "--p", "0.5"])
+        assert code == 6 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestConfig:

@@ -1,16 +1,17 @@
 """Sparse and concave-power solvers against independent oracles."""
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lpequiv import (
     CorankMismatch,
-    SignRecoveryFailure,
+    basic_table,
     decompose,
+    g_vertices,
     load_and_reduce,
     lp_objective,
-    recover_sign,
     solve_l0,
     solve_lp_corank1,
     solve_lp_extreme,
@@ -109,27 +110,15 @@ class TestSolveL0:
         b = [s.support for s in solve_l0(ex1)]
         assert a == b == sorted(a)
 
+    def test_support_order_with_many_solutions(self):
+        rng = np.random.default_rng(5)
+        for m, n in ((2, 5), (3, 6), (3, 9)):
+            supports = [s.support for s in solve_l0(random_instance(rng, m, n))]
+            assert len(supports) > 1 and supports == sorted(supports)
+
     def test_residuals_within_tolerance(self, ex1):
         for s in solve_l0(ex1):
             assert s.residual <= 1e-9 * (1 + np.max(np.abs(ex1.b)))
-
-
-class TestRecoverSign:
-    def test_ex1_positive_pattern(self, ex1):
-        param = decompose(ex1)
-        x = recover_sign(np.array([1.45, 2.0, 0.0, 0.0]), param)
-        np.testing.assert_allclose(x, [1.45, 2.0, 0.0, 0.0], atol=1e-9)
-
-    def test_negative_entry(self):
-        inst = load_and_reduce([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, -2.0])
-        param = decompose(inst)
-        x = recover_sign(np.abs(param.x_ls), param)
-        np.testing.assert_allclose(x, [1.0, -2.0, 0.0], atol=1e-12)
-
-    def test_spurious_support_fails(self, ex1):
-        param = decompose(ex1)
-        with pytest.raises(SignRecoveryFailure):
-            recover_sign(np.array([1.0, 1.0, 0.0, 0.0]), param)
 
 
 class TestSolveLpExtreme:
@@ -251,3 +240,155 @@ class TestOracleAgreement:
             cols = ex1.A[:, list(S)]
             xs, *_ = np.linalg.lstsq(cols, ex1.b, rcond=None)
             assert np.max(np.abs(cols @ xs - ex1.b)) > 1e-6
+
+
+def exact_basic_solutions(A, b):
+    """Test-local oracle: every distinct basic solution, in exact rationals.
+
+    Solves each m-column block by Gauss-Jordan elimination over Fractions of
+    the float entries, so singular blocks are found exactly.
+    """
+    A = [[Fraction(float(v)) for v in row] for row in A]
+    b = [Fraction(float(v)) for v in b]
+    m, n = len(A), len(A[0])
+    found = set()
+    for block in itertools.combinations(range(n), m):
+        aug = [[row[j] for j in block] + [rhs] for row, rhs in zip(A, b)]
+        for c in range(m):
+            piv = next((i for i in range(c, m) if aug[i][c] != 0), None)
+            if piv is None:
+                break
+            aug[c], aug[piv] = aug[piv], aug[c]
+            for i in range(m):
+                if i != c and aug[i][c] != 0:
+                    f = aug[i][c] / aug[c][c]
+                    aug[i] = [a - f * q for a, q in zip(aug[i], aug[c])]
+        else:
+            x = [Fraction(0)] * n
+            for i, j in enumerate(block):
+                x[j] = aug[i][m] / aug[i][i]
+            found.add(tuple(x))
+    return sorted(found)
+
+
+def exact_minimizers(basics, p, rtol=1e-10):
+    """Basic solutions within a relative tie of the least sum |x_i|^p."""
+    objs = [sum(float(abs(v)) ** p for v in x if v) for x in basics]
+    best = min(objs)
+    return [x for x, o in zip(basics, objs) if o <= best * (1.0 + rtol)]
+
+
+def as_set(xs):
+    """Minimizers keyed by support, values rounded well below any gap."""
+    return {
+        tuple(int(i) for i in np.flatnonzero(x)): tuple(np.round(np.asarray(x, float), 9))
+        for x in xs
+    }
+
+
+def integer_instance(rng, m, n, negdup=False):
+    """Small-integer system; with negdup, the last column negates column 0."""
+    while True:
+        cols = n - 1 if negdup else n
+        A = rng.integers(-6, 7, size=(m, cols)).astype(float)
+        if negdup:
+            A = np.hstack([A, -A[:, :1]])
+        b = rng.integers(-5, 6, size=m).astype(float)
+        if np.any(b) and np.linalg.matrix_rank(A) == m:
+            return load_and_reduce(A, b)
+
+
+DUST = ([[-0.5, 0.25, -1.2, 1.2], [0.0, 5.0, 0.6, -0.6]], [2.0, -0.25])
+
+
+class TestDustRegression:
+    def test_tiny_exponent_argmin(self):
+        inst = load_and_reduce(*DUST)
+        sols = solve_lp_extreme(inst, 0.02)
+        assert len(sols) == 1
+        np.testing.assert_allclose(sols[0].x, [-4.025, -0.05, 0.0, 0.0], atol=1e-12)
+        assert sols[0].objective == pytest.approx(1.97009, abs=1e-5)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_negated_columns_tie(self, p):
+        inst = load_and_reduce(*DUST)
+        supports = sorted(tuple(np.flatnonzero(s.x)) for s in solve_lp_extreme(inst, p))
+        assert supports == [(1, 2), (1, 3)]
+
+
+class TestExactOracle:
+    PS = (0.02, 0.05, 0.1, 0.5, 1.0)
+
+    @staticmethod
+    def instances():
+        rng = np.random.default_rng(404)
+        for m in (2, 3, 4):
+            for n in range(m + 1, 7):
+                for negdup in (False, True):
+                    for _ in range(2):
+                        yield integer_instance(rng, m, n, negdup)
+
+    def test_minimizer_sets(self):
+        checked = 0
+        for inst in self.instances():
+            basics = exact_basic_solutions(inst.A, inst.b)
+            table = basic_table(inst)
+            assert as_set(table.x) == as_set(basics)
+            for p in self.PS:
+                expected = as_set(exact_minimizers(basics, p))
+                assert as_set(table.x[table.minimizers(p)]) == expected, (inst.A, inst.b, p)
+                checked += 1
+        assert checked >= 100
+
+    def test_solver_and_sparsest_sets(self):
+        for inst in itertools.islice(self.instances(), 0, None, 3):
+            basics = exact_basic_solutions(inst.A, inst.b)
+            k0 = min(np.count_nonzero(x) for x in basics)
+            sparsest = [x for x in basics if np.count_nonzero(x) == k0]
+            assert as_set(s.x for s in solve_l0(inst)) == as_set(sparsest)
+            if inst.n - inst.m > 3:
+                # the certificates come from G(r)'s H-rows, whose elimination
+                # passes the row cap at n = 6, d = 4
+                continue
+            for p in (0.05, 1.0):
+                expected = as_set(exact_minimizers(basics, p))
+                assert as_set(s.x for s in solve_lp_extreme(inst, p)) == expected
+
+    def test_p1_face_tie_from_negated_column(self):
+        # x0 - x2 = 1 and x1 = 1: x0 = t, x2 = t - 1; every t in [0, 1] has
+        # l1 norm 2, and the face's endpoints are the two basic solutions
+        inst = load_and_reduce([[1.0, 0.0, -1.0], [0.0, 1.0, 0.0]], [1.0, 1.0])
+        got = as_set(s.x for s in solve_lp_extreme(inst, 1.0))
+        assert got == as_set([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]])
+
+
+def snapped_vertex_minimizers(inst, p):
+    """Test-local scoring of G(||x_ls||_p)'s vertices, dust snapped to 0."""
+    param = decompose(inst)
+    r = float(np.sum(np.abs(param.x_ls) ** p) ** (1.0 / p))
+    Z = g_vertices(param, r).points.copy()
+    Z[Z <= 1e-8 * (1.0 + np.max(Z, axis=1, keepdims=True))] = 0.0
+    objs = np.sum(Z**p, axis=1)
+    return Z[objs <= np.min(objs) * (1.0 + 1e-10)]
+
+
+LADDER = {
+    "3x5": (3, 5, 351),
+    "4x6": (4, 6, 462),
+    "3x6": (3, 6, 363),
+}
+
+
+class TestTableVsVertexPath:
+    @pytest.mark.parametrize("name", ["ex1", *LADDER])
+    def test_minimizers_match_vertex_scoring(self, name, ex1):
+        if name == "ex1":
+            inst = ex1
+        else:
+            m, n, seed = LADDER[name]
+            inst = random_instance(np.random.default_rng(seed), m, n)
+        table = basic_table(inst)
+        for p in (0.05, 0.5, 1.0):
+            moduli = np.abs(table.x[table.minimizers(p)])
+            vertex = snapped_vertex_minimizers(inst, p)
+            assert as_set(moduli) == as_set(vertex), (name, p)
