@@ -11,6 +11,14 @@ The key object is the modulus-dominance polytope
 
 whose extreme points carry the candidate minimizers of every concave power
 objective sum(z_i^p) with 0 < p <= 1.
+
+``g_vertices`` does not sweep row subsets. At a vertex of the lift, d
+"pinned" coordinates D have ``x_i`` in {0, r, -r} with ``N[D]`` nonsingular,
+and every other coordinate has ``z_i`` equal to ``|x_i|`` or to ``r``. So the
+lift's vertices come from C(n, d) 3^d solves of d-by-d systems, at most
+C(n, d) 3^d 2^(n - d) candidates, which are then checked against G(r)'s
+H-rows. ``enumerate_vertices`` is the general tool for any bounded
+polyhedron: it solves all C(rows, dim) square subsystems.
 """
 from __future__ import annotations
 
@@ -48,6 +56,7 @@ _COEF_SNAP = 1e-13
 
 _SOLVE_CHUNK = 16384
 _RAY_SEARCH_CAP = 20000
+_SLACK_ENTRIES = 1 << 22
 
 
 def _row_inf(H: np.ndarray) -> np.ndarray:
@@ -128,11 +137,14 @@ class HPolyhedron:
 
     def active_rows(self, z, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
         """Indices of the rows that hold with equality at z, within tolerance."""
-        z = np.asarray(z, dtype=float)
-        resid = np.abs(self.H @ z - self.g)
-        scale = float(np.max(np.abs(z))) if z.size else 0.0
-        atol = tol.feas_tol(scale) * self.row_scales()
-        return np.flatnonzero(resid <= atol)
+        return np.flatnonzero(self.active_mask(np.asarray(z, dtype=float)[None, :], tol)[0])
+
+    def active_mask(self, Z: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+        """Row activity for points stacked in rows of Z: one slack matrix."""
+        Z = np.asarray(Z, dtype=float)
+        resid = np.abs(Z @ self.H.T - self.g)
+        scale = np.max(np.abs(Z), axis=1) if Z.shape[1] else np.zeros(Z.shape[0])
+        return resid <= tol.feas_tol(scale)[:, None] * self.row_scales()[None, :]
 
 
 @dataclass(frozen=True)
@@ -395,8 +407,9 @@ def _candidate_points(H, g, q: int):
 def _dedup_points(pts: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Lexicographically sort points and merge duplicates within tolerance.
 
-    Identical-to-rounding copies are collapsed vectorized first; the
-    remainder is merged with a window scan over the first coordinate.
+    Identical-to-rounding copies are collapsed vectorized first. Of the
+    rest, a point is dropped when a kept point before it in lexicographic
+    order matches it within ``tol.dedup_tol`` in every coordinate.
     """
     if pts.shape[0] == 0:
         return pts
@@ -404,30 +417,54 @@ def _dedup_points(pts: np.ndarray, tol: Tolerances) -> np.ndarray:
     pts = pts[np.sort(uniq_idx)]
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
-    global_scale = float(np.max(np.abs(pts))) if pts.size else 0.0
-    window = tol.dedup_tol(global_scale)
-    reps: list[np.ndarray] = []
-    for p in pts:
-        merged = False
-        for rep in reversed(reps):
-            if p[0] - rep[0] > window:
-                break
-            scale = max(float(np.max(np.abs(p))), float(np.max(np.abs(rep))))
-            if np.max(np.abs(p - rep)) <= tol.dedup_tol(scale):
-                merged = True
-                break
-        if not merged:
-            reps.append(p)
-    return np.array(reps)
+    k, q = pts.shape
+    mags = np.max(np.abs(pts), axis=1)
+    window = tol.dedup_tol(float(np.max(mags)))
+    # matching points lie within `window` in every coordinate, so within it
+    # in any convex combination of the coordinates: candidate pairs are
+    # near neighbours in the order of one such key
+    key = pts @ (np.arange(1.0, q + 1.0) / (q * (q + 1) / 2.0))
+    by_key = np.argsort(key, kind="stable")
+    sorted_key = key[by_key]
+    after = np.searchsorted(sorted_key, sorted_key + 2.0 * window, side="right")
+    after -= np.arange(1, k + 1)
+    first = np.repeat(np.arange(k), after)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(after) - after, after)
+    a, b = by_key[first], by_key[second]
+    gap = np.max(np.abs(pts[a] - pts[b]), axis=1)
+    close = gap <= tol.dedup_tol(np.maximum(mags[a], mags[b]))
+    lo, hi = np.minimum(a, b)[close], np.maximum(a, b)[close]
+    kept = np.ones(k, dtype=bool)
+    # a point's earlier matches are settled before it is reached
+    for i, j in sorted(zip(lo.tolist(), hi.tolist()), key=lambda pair: pair[1]):
+        if kept[i]:
+            kept[j] = False
+    return pts[kept]
 
 
-def _numrank(M: np.ndarray, rel_tol: float) -> int:
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+def _certified_vertices(poly: HPolyhedron, cand: np.ndarray, tol: Tolerances) -> VertexSet:
+    """The candidate points (in their order) whose active rows reach rank
+    dim, with those rows; one slack matrix per chunk of candidates and one
+    batched SVD per active-row count."""
+    q = poly.dim
+    points = []
+    actives = []
+    # bounds the slack matrix of one chunk of candidates against the rows
+    chunk = max(1, _SLACK_ENTRIES // max(1, poly.nrows))
+    for start in range(0, cand.shape[0], chunk):
+        block = cand[start:start + chunk]
+        masks = poly.active_mask(block, tol)
+        counts = np.count_nonzero(masks, axis=1)
+        ok = np.zeros(block.shape[0], dtype=bool)
+        for a in np.unique(counts[counts >= q]):
+            sel = np.flatnonzero(counts == a)
+            rows = np.nonzero(masks[sel])[1].reshape(sel.size, a)
+            s = np.linalg.svd(poly.H[rows], compute_uv=False)
+            ok[sel] = np.count_nonzero(s > tol.rank * s[:, :1], axis=1) >= q
+        points.extend(block[ok])
+        actives.extend(tuple(np.flatnonzero(m).tolist()) for m in masks[ok])
+    pts = np.array(points) if points else np.empty((0, q))
+    return VertexSet(points=pts, active_sets=tuple(actives), source=poly)
 
 
 def _check_unbounded(poly: HPolyhedron, tol: Tolerances) -> None:
@@ -490,18 +527,52 @@ def enumerate_vertices(
         if np.any(inside):
             chunks.append(pts[inside])
     cand = np.vstack(chunks) if chunks else np.empty((0, q))
-    cand = _dedup_points(cand, tol)
+    return _certified_vertices(poly, _dedup_points(cand, tol), tol)
 
-    points = []
-    actives = []
-    for z in cand:
-        act = poly.active_rows(z, tol)
-        if act.size < q or _numrank(poly.H[act], tol.rank) < q:
-            continue
-        points.append(z)
-        actives.append(tuple(int(i) for i in act))
-    pts = np.array(points) if points else np.empty((0, q))
-    return VertexSet(points=pts, active_sets=tuple(actives), source=poly)
+
+def _lift_vertex_moduli(param: SolutionParam, r: float, tol: Tolerances) -> np.ndarray:
+    """The z-parts of all vertices of ``build_lambda(param, r)``, with repeats.
+
+    At a vertex of the lift, every coordinate i has a tight row among
+    ``z_i >= x_i``, ``z_i >= -x_i``, ``z_i >= 0`` and ``z_i <= r`` (where
+    ``x = x_ls + N c``), and the tight rows reach rank n + d. A coordinate's
+    rows span at most two directions, so exactly d pinned coordinates D carry
+    two independent tight rows: these force ``x_i`` into {0, r, -r} and
+    ``z_i = |x_i|``, and full rank needs ``N[D]`` nonsingular. Every other
+    coordinate has ``z_i = |x_i|`` or ``z_i = r``. So the x-parts are the
+    solutions of ``N[D] c = v - x_ls[D]`` over the d-subsets D and the
+    values v in {0, r, -r}^D that keep ``|x| <= r``, and each yields one
+    vertex per choice of box-bound free coordinates:
+    at most C(n, d) 3^d 2^(n - d) points.
+    """
+    x_ls, N = param.x_ls, param.N
+    n, d = N.shape
+    pins = np.array(list(itertools.combinations(range(n), d)), dtype=np.intp)
+    sub = N[pins]  # sub[k] = N[pins[k]], the pinned rows
+    # blocks below the tol.rank fraction of Hadamard's bound count as singular
+    hadamard = np.prod(np.linalg.norm(sub, axis=2), axis=1)
+    ok = np.abs(np.linalg.det(sub)) > tol.rank * hadamard
+    pins, sub = pins[ok], sub[ok]
+    values = np.array(list(itertools.product((0.0, r, -r), repeat=d)))
+    rhs = values[None, :, :] - x_ls[pins][:, None, :]
+    c = np.linalg.solve(sub[:, None], rhs[..., None])[..., 0]
+    X = x_ls + c.reshape(-1, d) @ N.T
+    fits = np.all(np.abs(X) <= r + tol.feas_tol(r), axis=1)
+    X = X[fits]
+    is_free = np.ones((pins.shape[0], n), dtype=bool)
+    np.put_along_axis(is_free, pins, False, axis=1)
+    free = np.nonzero(is_free)[1].reshape(-1, n - d)
+    free = np.repeat(free, values.shape[0], axis=0)[fits]
+    # one row per subset of the free coordinates raised to the box bound r
+    raised = np.array(list(itertools.product((False, True), repeat=n - d)))
+    at_box = np.zeros((X.shape[0], raised.shape[0], n), dtype=bool)
+    np.put_along_axis(
+        at_box,
+        np.broadcast_to(free[:, None, :], at_box.shape[:2] + (n - d,)),
+        np.broadcast_to(raised[None], at_box.shape[:2] + (n - d,)),
+        axis=2,
+    )
+    return np.where(at_box, r, np.abs(X)[:, None, :]).reshape(-1, n)
 
 
 def g_vertices(
@@ -514,33 +585,21 @@ def g_vertices(
 
     Every vertex of a coordinate projection is the projection of some vertex
     of the (bounded) lift: the preimage of an exposed vertex is an exposed
-    face, and faces contain vertices. So the lift vertices are projected to
-    z-space and filtered by the active-row rank test against the projected
-    H-representation. This avoids enumerating subsets of the much larger
-    eliminated row system directly.
+    face, and faces contain vertices. The lift's vertices are read off their
+    pinned coordinates (``_lift_vertex_moduli``): C(n, d) 3^d small solves
+    and at most C(n, d) 3^d 2^(n - d) candidates, in place of a sweep over
+    the C(4n, n + d) row subsets of the lift. The candidates are projected
+    to z-space, deduplicated and filtered by the active-row rank test
+    against the projected H-representation.
     """
     n, d = param.x_ls.shape[0], param.d
     if n > caps.n_max or d > caps.d_max:
         raise BlowupLimit(
             f"instance size n={n}, d={d} beyond caps ({caps.n_max}, {caps.d_max})"
         )
-    lam = build_lambda(param, r, tol=tol, caps=caps)
     gpoly = g_of_r(param, r, tol=tol, caps=caps)
-    # The lift is bounded: z lives in [0, r]^n and |N c| <= z + |x_ls| bounds
-    # c through the orthonormal columns of N.
-    lift = enumerate_vertices(lam, tol=tol, caps=caps, check_unbounded=False)
-    cand = _dedup_points(lift.points[:, :n], tol) if len(lift) else np.empty((0, n))
-
-    points = []
-    actives = []
-    for z in cand:
-        act = gpoly.active_rows(z, tol)
-        if act.size < n or _numrank(gpoly.H[act], tol.rank) < n:
-            continue
-        points.append(z)
-        actives.append(tuple(int(i) for i in act))
-    pts = np.array(points) if points else np.empty((0, n))
-    return VertexSet(points=pts, active_sets=tuple(actives), source=gpoly)
+    cand = _dedup_points(_lift_vertex_moduli(param, float(r), tol), tol)
+    return _certified_vertices(gpoly, cand, tol)
 
 
 def dump_text(poly: HPolyhedron) -> str:

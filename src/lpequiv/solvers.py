@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, inf, isfinite
 
 import numpy as np
 
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import BlowupLimit, CorankMismatch, NumericalRankFailure
-from .polytope import g_of_r
+from .polytope import build_lambda
 from .system import Instance, SolutionParam, decompose
 
 __all__ = [
@@ -52,9 +52,10 @@ class SparseSolution:
 class LpSolution:
     """A minimizer of sum(|x_i|^p) subject to A x = b.
 
-    ``vertex_certificate`` lists the active rows of the modulus polytope at
-    the optimal vertex; it is None for solutions produced by the corank-1
-    breakpoint solver, which never builds the polytope.
+    ``vertex_certificate`` lists the rows of the lifted modulus system
+    ``build_lambda(param, radius_used)`` active at (z, c), where c are the
+    null-space coordinates of x; it is None for solutions produced by the
+    corank-1 breakpoint solver, which never builds the system.
     """
 
     p: float
@@ -214,38 +215,58 @@ def solve_lp_extreme(
 
     ``radius_used`` defaults to the p-quasinorm of the least-norm solution:
     any minimizer x satisfies |x_i| <= ||x||_p <= ||x_ls||_p, so the box of
-    G(r) certifiably contains every minimizer. An override replaces that
-    radius but not the minimizer set; ``radius_active`` flags minimizers that
-    reach the override box, which shows the override does not bound them.
-    ``vertex_certificate`` lists the rows of G(r) active at the modulus
-    vector.
+    G(r) certifiably contains every minimizer. For tiny p that quasinorm can
+    pass the float range; the default is then the largest ||x||_inf over the
+    table's rows, which bounds every minimizer because each is a row. An
+    override replaces that radius but not the minimizer set;
+    ``radius_active`` flags minimizers that reach the override box, which
+    shows the override does not bound them; it stays False under the
+    default radius, which bounds every minimizer by construction.
+    ``vertex_certificate`` lists the rows of the lifted system
+    ``build_lambda(param, radius_used)`` active at (z, c), with c the
+    null-space coordinates of x; no projection is built.
     """
     p = _check_p(p)
     table = basic_table(inst, tol=tol, caps=caps)
+    param = table.param
     if radius_override is not None:
         r = float(radius_override)
         if not r > 0.0:
             raise ValueError(f"radius override must be positive, got {r}")
     else:
-        r = float(np.sum(np.abs(table.param.x_ls) ** p) ** (1.0 / p))
-    gpoly = g_of_r(table.param, r, tol=tol, caps=caps)
+        r = _quasinorm(param.x_ls, p)
+        if not isfinite(r):
+            r = float(np.max(np.abs(table.x)))
+    box = inf if radius_override is None else r - tol.dedup_tol(r)
+    lam = build_lambda(param, r, tol=tol, caps=caps)
     idx = table.minimizers(p)
     idx = idx[np.lexsort(np.abs(table.x[idx]).T[::-1])]
     solutions: list[LpSolution] = []
     for x in table.x[idx]:
         z = np.abs(x)
+        lifted = np.concatenate([z, param.N.T @ (x - param.x_ls)])
         solutions.append(
             LpSolution(
                 p=p,
                 x=x,
                 objective=lp_objective(x, p),
                 z=z,
-                vertex_certificate=tuple(int(i) for i in gpoly.active_rows(z, tol)),
+                vertex_certificate=tuple(int(i) for i in lam.active_rows(lifted, tol)),
                 radius_used=r,
-                radius_active=bool(np.max(z) >= r - tol.dedup_tol(r)),
+                radius_active=bool(np.max(z) >= box),
             )
         )
     return solutions
+
+
+def _quasinorm(x: np.ndarray, p: float) -> float:
+    """||x||_p as M (sum (|x_i| / M)^p)^(1/p) with M = ||x||_inf; inf past the
+    float range. The inner sum lies in [1, n], so only the last power can
+    overflow."""
+    a = np.abs(x)
+    M = float(np.max(a))
+    with np.errstate(over="ignore"):
+        return M * float(np.sum((a / M) ** p) ** (1.0 / p))
 
 
 def solve_lp_corank1(

@@ -67,5 +67,30 @@ def random_instance(rng: np.random.Generator, m: int, n: int) -> Instance:
         return load_and_reduce(A, b)
 
 
+# seeded random_instance shapes past the hand-made examples: name -> (m, n, seed)
+LADDER = {
+    "3x5": (3, 5, 351),
+    "4x6": (4, 6, 462),
+    "3x6": (3, 6, 363),
+}
+
+
+def ladder_instance(name: str) -> Instance:
+    m, n, seed = LADDER[name]
+    return random_instance(np.random.default_rng(seed), m, n)
+
+
+def integer_instance(rng: np.random.Generator, m: int, n: int, negdup: bool = False) -> Instance:
+    """Small-integer system; with negdup, the last column negates column 0."""
+    while True:
+        cols = n - 1 if negdup else n
+        A = rng.integers(-6, 7, size=(m, cols)).astype(float)
+        if negdup:
+            A = np.hstack([A, -A[:, :1]])
+        b = rng.integers(-5, 6, size=m).astype(float)
+        if np.any(b) and np.linalg.matrix_rank(A) == m:
+            return load_and_reduce(A, b)
+
+
 def random_corank1_instance(rng: np.random.Generator, n: int) -> Instance:
     return random_instance(rng, n - 1, n)

@@ -97,6 +97,16 @@ class TestSolve:
         assert len(report["solutions"]) == 1
         np.testing.assert_allclose(report["solutions"][0]["x"], expected, atol=1e-9)
 
+    def test_lp_corank4(self, tmp_path):
+        # G(r)'s elimination would pass fm_row_cap here; solve never builds it
+        f = tmp_path / "corank4.txt"
+        f.write_text("2 6\n3 -1 4 1 -5 9\n2 6 -5 3 5 -8\n1 2\n")
+        code, text = run_cli(["solve", str(f), "--p", "0.5"])
+        assert code == 0
+        (sol,) = json.loads(text)["solutions"]
+        assert sol["support"] == [3, 5]
+        np.testing.assert_allclose(sol["x"], [0, 0, 0, 26 / 35, 0, 1 / 35], atol=1e-12)
+
     def test_requires_mode(self, ex1_file):
         with pytest.raises(SystemExit) as exc:
             run_cli(["solve", ex1_file])

@@ -18,7 +18,7 @@ from lpequiv import (
 )
 from lpequiv.report import dump_json
 
-from conftest import random_instance
+from conftest import integer_instance, random_instance
 
 
 class TestComputeRadii:
@@ -186,3 +186,45 @@ class TestRecoveryGuarantee:
             checked = verify_equivalence(inst, ps)
             for v in checked.verifications:
                 assert v.holds, (inst.A, inst.b, v)
+
+
+class TestMetamorphic:
+    """Row operations, a column permutation and a column sign flip keep the
+    solution set's geometry (up to relabelling coordinates and signs), so
+    they keep k0, r_m, p_bound and the scan's holds column."""
+
+    GRID = (0.02, 0.05, 0.1, 0.2, 0.5, 0.8, 0.95, 1.0)
+
+    @classmethod
+    def summary(cls, A, b):
+        res = scan_pstar(load_and_reduce(A, b), cls.GRID)
+        cert = res.certificate
+        return cert.k0, cert.r_m, cert.p_bound, [v.holds for v in res.table]
+
+    @staticmethod
+    def transforms(rng, A, b):
+        m, n = A.shape
+        # unimodular row combination: unit lower times unit upper triangular
+        L = np.eye(m) + np.tril(rng.integers(-1, 2, size=(m, m)), -1)
+        U = np.eye(m) + np.triu(rng.integers(-1, 2, size=(m, m)), 1)
+        M = L @ U
+        perm = rng.permutation(n)
+        signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        signs[0] = -1.0
+        yield "rows", M @ A, M @ b
+        yield "permutation", A[:, perm], b
+        yield "signs", A * signs, b
+
+    @pytest.mark.parametrize("shape", ["2x4", "3x5", "2x5", "3x6"])
+    @pytest.mark.parametrize("negdup", [False, True])
+    def test_certificate_invariant(self, shape, negdup):
+        m, n = map(int, shape.split("x"))
+        rng = np.random.default_rng(1000 * m + n + negdup)
+        inst = integer_instance(rng, m, n, negdup)
+        k0, r_m, p_bound, holds = self.summary(inst.A, inst.b)
+        for name, A, b in self.transforms(rng, inst.A, inst.b):
+            got = self.summary(A, b)
+            assert got[0] == k0, name
+            assert got[1] == pytest.approx(r_m, rel=1e-9), name
+            assert got[2] == pytest.approx(p_bound, rel=1e-9), name
+            assert got[3] == holds, name

@@ -10,6 +10,7 @@ from lpequiv import (
     HPolyhedron,
     Unbounded,
     build_lambda,
+    compute_rm,
     decompose,
     dump_text,
     enumerate_vertices,
@@ -20,9 +21,16 @@ from lpequiv import (
     load_and_reduce,
     omega_of_r,
 )
-from lpequiv.polytope import TAG_BOX, TAG_DERIVED, TAG_LAMBDA
+from lpequiv.config import DEFAULT_TOLERANCES
+from lpequiv.polytope import TAG_BOX, TAG_DERIVED, TAG_LAMBDA, _dedup_points
 
-from conftest import ex1_point, random_corank1_instance
+from conftest import (
+    LADDER,
+    ex1_point,
+    integer_instance,
+    ladder_instance,
+    random_corank1_instance,
+)
 
 
 def poly2(H, g, tags=None):
@@ -352,6 +360,93 @@ class TestEnumerateVertices:
         np.testing.assert_array_equal(a.points, b.points)
         order = np.lexsort(a.points.T[::-1])
         np.testing.assert_array_equal(order, np.arange(len(a)))
+
+
+def sweep_g_vertices(param, r, rank_tol=1e-10):
+    """Test-local reference for g_vertices: the generic row-subset sweep of
+    the lift, projected to z, deduplicated by rounding, then kept where the
+    active rows of G(r) reach full rank."""
+    n = param.x_ls.shape[0]
+    gp = g_of_r(param, r)
+    lift = enumerate_vertices(build_lambda(param, r), check_unbounded=False)
+    kept = {}
+    for z in lift.points[:, :n]:
+        key = tuple(np.round(z, 9))
+        if key in kept:
+            continue
+        s = np.linalg.svd(gp.H[gp.active_rows(z)], compute_uv=False)
+        if s.size and np.count_nonzero(s > rank_tol * s[0]) == n:
+            kept[key] = z
+    return kept
+
+
+def seeded_small_instances():
+    rng = np.random.default_rng(55)
+    for m, n in ((1, 3), (2, 4), (1, 4), (3, 5), (2, 5)):
+        for negdup in (False, True):
+            yield integer_instance(rng, m, n, negdup)
+
+
+class TestGVerticesVsLiftSweep:
+    @staticmethod
+    def check(inst):
+        param = decompose(inst)
+        x_inf = float(np.max(np.abs(param.x_ls)))
+        # r1, and a radius at which the box pins x_i = +-r occur
+        for r in (inst.n * x_inf, 1.2 * x_inf):
+            ref = sweep_g_vertices(param, r)
+            vs = g_vertices(param, r)
+            assert as_point_set(vs) == sorted(ref), r
+            nz = [
+                np.min(z[z > 1e-8 * (1.0 + np.max(z))])
+                for z in ref.values()
+                if np.any(z > 1e-8 * (1.0 + np.max(z)))
+            ]
+            assert compute_rm(inst, r, param=param) == pytest.approx(min(nz), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["ex1", "pair11", *LADDER])
+    def test_named_instances(self, name, request):
+        inst = request.getfixturevalue(name) if name in ("ex1", "pair11") else ladder_instance(name)
+        self.check(inst)
+
+    def test_seeded_small_instances(self):
+        for inst in seeded_small_instances():
+            self.check(inst)
+
+
+def greedy_dedup(pts, tol=DEFAULT_TOLERANCES):
+    """Test-local reference for the merge rule: after the rounding collapse
+    and the lexicographic sort, drop a point when any kept point matches it."""
+    _, first = np.unique(np.round(pts, 10), axis=0, return_index=True)
+    pts = pts[np.sort(first)]
+    pts = pts[np.lexsort(pts.T[::-1])]
+    kept = []
+    for p in pts:
+        if not any(
+            np.max(np.abs(p - q)) <= tol.dedup_tol(max(np.max(np.abs(p)), np.max(np.abs(q))))
+            for q in kept
+        ):
+            kept.append(p)
+    return np.array(kept)
+
+
+class TestDedupPoints:
+    def test_matches_greedy_reference(self):
+        rng = np.random.default_rng(3)
+        for trial in range(40):
+            n = int(rng.integers(2, 7))
+            k = int(rng.integers(1, 30))
+            if trial % 2:
+                # shared coordinates, as in lift candidates (0, r, |x_i|)
+                base = rng.choice([0.0, 1.0, 2.5, 3.0, 1e-9], size=(k, n))
+            else:
+                base = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-3, 3)
+            copies = base[rng.integers(0, k, size=2 * k)]
+            # offsets below, near and above the 1e-8 relative dedup tolerance
+            step = rng.choice([0.0, 1e-12, 3e-9, 1e-8, 2e-8, 5e-8], size=copies.shape)
+            copies = copies + step * rng.choice([-1.0, 1.0], size=copies.shape) * (1 + np.abs(copies))
+            pts = np.vstack([base, copies])
+            np.testing.assert_array_equal(_dedup_points(pts, DEFAULT_TOLERANCES), greedy_dedup(pts))
 
 
 class TestFeasible:
