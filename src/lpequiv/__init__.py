@@ -29,7 +29,6 @@ from .errors import (
     NoNonzeroCoordinate,
     NotUnderdetermined,
     NumericalRankFailure,
-    SignRecoveryFailure,
     Unbounded,
     ZeroRhs,
 )
@@ -37,13 +36,11 @@ from .polytope import (
     HPolyhedron,
     VertexSet,
     build_lambda,
-    dump_text,
     enumerate_vertices,
     feasible,
     fm_eliminate,
     g_of_r,
     g_vertices,
-    omega_of_r,
 )
 from .solvers import (
     BasicTable,
@@ -87,7 +84,6 @@ __all__ = [
     "NumericalRankFailure",
     "PVerification",
     "ScanResult",
-    "SignRecoveryFailure",
     "SolutionParam",
     "SparseSolution",
     "Tolerances",
@@ -101,7 +97,6 @@ __all__ = [
     "compute_radii",
     "compute_rm",
     "decompose",
-    "dump_text",
     "enumerate_vertices",
     "feasible",
     "fm_eliminate",
@@ -110,7 +105,6 @@ __all__ = [
     "load_and_reduce",
     "load_instance",
     "lp_objective",
-    "omega_of_r",
     "parse_instance_text",
     "scan_pstar",
     "solution_at",

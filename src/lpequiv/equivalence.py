@@ -124,18 +124,13 @@ def compute_rm(
     """
     if param is None:
         param = decompose(inst, tol=tol)
-    vs = g_vertices(param, r, tol=tol, caps=caps)
-    best = math.inf
-    for z in vs.points:
-        z_inf = float(np.max(np.abs(z))) if z.size else 0.0
-        nz = np.abs(z)[np.abs(z) > tol.zero_tol(z_inf)]
-        if nz.size:
-            best = min(best, float(np.min(nz)))
-    if not math.isfinite(best):
+    Z = np.abs(g_vertices(param, r, tol=tol, caps=caps).points)
+    nonzero = Z > tol.zero_tol(np.max(Z, axis=1, initial=0.0))[:, None]
+    if not np.any(nonzero):
         raise NoNonzeroCoordinate(
             "all vertices are numerically zero; upstream fault"
         )
-    return best
+    return float(np.min(Z[nonzero]))
 
 
 def compute_bound(

@@ -48,9 +48,5 @@ class CorankMismatch(LpEquivError):
     """The operation requires a one-dimensional solution set."""
 
 
-class SignRecoveryFailure(LpEquivError):
-    """No sign pattern of the modulus vector reproduces the right-hand side."""
-
-
 class NoNonzeroCoordinate(LpEquivError):
     """Every enumerated vertex is numerically zero; signals an upstream fault."""

@@ -1,10 +1,5 @@
 """Half-space polyhedra at desk scale.
 
-Builds the lifted modulus system that couples a bound vector ``z`` to the
-null-space coordinates ``c`` of a solution line/plane, projects it onto the
-``z`` variables by Fourier-Motzkin elimination, enumerates all extreme points
-exhaustively, and decides feasibility exactly (within floating tolerance).
-
 The key object is the modulus-dominance polytope
 
     G(r) = { z in [0, r]^n : some solution x of A x = b satisfies |x| <= z }
@@ -12,13 +7,14 @@ The key object is the modulus-dominance polytope
 whose extreme points carry the candidate minimizers of every concave power
 objective sum(z_i^p) with 0 < p <= 1.
 
-``g_vertices`` does not sweep row subsets. At a vertex of the lift, d
-"pinned" coordinates D have ``x_i`` in {0, r, -r} with ``N[D]`` nonsingular,
-and every other coordinate has ``z_i`` equal to ``|x_i|`` or to ``r``. So the
-lift's vertices come from C(n, d) 3^d solves of d-by-d systems, at most
-C(n, d) 3^d 2^(n - d) candidates, which are then checked against G(r)'s
-H-rows. ``enumerate_vertices`` is the general tool for any bounded
-polyhedron: it solves all C(rows, dim) square subsystems.
+The path behind ``r_m`` is ``build_lambda`` (the lift that couples ``z`` to
+the null-space coordinates ``c``), ``g_of_r`` (its projection onto ``z`` by
+Fourier-Motzkin elimination, ``fm_eliminate``) and ``g_vertices``, which
+reads the lift's vertices off d pinned coordinates (C(n, d) 3^d d-by-d
+solves) and keeps those whose active rows of G(r) reach full rank.
+``enumerate_vertices`` (all square subsystems of any bounded polyhedron)
+and ``feasible`` (exact emptiness) are reference tools the tests check
+that path against.
 """
 from __future__ import annotations
 
@@ -40,13 +36,9 @@ __all__ = [
     "g_of_r",
     "enumerate_vertices",
     "feasible",
-    "omega_of_r",
     "g_vertices",
-    "dump_text",
 ]
 
-TAG_BOX = "box"
-TAG_LAMBDA = "lambda"
 TAG_DERIVED = "derived"
 
 # Coefficients below this fraction of the row magnitude are snapped to exact
@@ -69,15 +61,14 @@ def _row_inf(H: np.ndarray) -> np.ndarray:
 class HPolyhedron:
     """Finite list of half-space rows ``<h, x> <= gamma``.
 
-    ``tags`` records per-row provenance: "box" for coordinate bounds,
-    "lambda" for rows tying variables to the linear system, "derived" for
-    rows produced by elimination. A zero-dimensional polyhedron (constant
-    rows only) can result from eliminating every variable.
+    A zero-dimensional polyhedron (constant rows only) can result from
+    eliminating every variable.
     """
 
     H: np.ndarray
     g: np.ndarray
-    tags: tuple[str, ...]
+    # never read; acceptance criterion 8 still passes tags=(TAG_DERIVED, ...)
+    tags: tuple[str, ...] = ()
 
     def __post_init__(self):
         H = np.array(self.H, dtype=float)
@@ -86,13 +77,10 @@ class HPolyhedron:
             raise DimensionMismatch(f"rows {H.shape} incompatible with {g.shape}")
         if not (np.all(np.isfinite(H)) and np.all(np.isfinite(g))):
             raise ValueError("half-space rows must be finite")
-        if len(self.tags) != H.shape[0]:
-            raise DimensionMismatch("one tag per row required")
         H.setflags(write=False)
         g.setflags(write=False)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "tags", tuple(self.tags))
 
     @property
     def dim(self) -> int:
@@ -105,34 +93,23 @@ class HPolyhedron:
     @property
     def empty(self) -> bool:
         """True if a constant row 0 <= gamma with gamma < 0 is present."""
-        if self.nrows == 0:
-            return False
         return bool(np.any((_row_inf(self.H) == 0.0) & (self.g < 0.0)))
 
     def row_scales(self) -> np.ndarray:
-        if self.nrows == 0:
-            return np.empty(0)
         return np.maximum(1.0, np.maximum(_row_inf(self.H), np.abs(self.g)))
 
     def contains(self, z, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
         z = np.asarray(z, dtype=float)
         if z.shape != (self.dim,):
             raise DimensionMismatch(f"point {z.shape} in dimension {self.dim}")
-        if self.nrows == 0:
-            return True
-        slack = self.H @ z - self.g
-        scale = float(np.max(np.abs(z))) if z.size else 0.0
-        atol = tol.feas_tol(scale) * self.row_scales()
-        return bool(np.all(slack <= atol))
+        return bool(self.contains_many(z[None, :], tol)[0])
 
     def contains_many(self, Z: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
         """Vectorized membership test for points stacked in rows of Z."""
         Z = np.asarray(Z, dtype=float)
-        if self.nrows == 0:
-            return np.ones(Z.shape[0], dtype=bool)
         slack = Z @ self.H.T - self.g
         scale = np.max(np.abs(Z), axis=1) if Z.shape[1] else np.zeros(Z.shape[0])
-        atol = tol.feas * (1.0 + scale)[:, None] * self.row_scales()[None, :]
+        atol = tol.feas_tol(scale)[:, None] * self.row_scales()[None, :]
         return np.all(slack <= atol, axis=1)
 
     def active_rows(self, z, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -172,11 +149,9 @@ class VertexSet:
         return self.points.shape[0]
 
 
-def _normalize_rows(H: np.ndarray, g: np.ndarray, tags: list[str], tol: Tolerances):
+def _normalize_rows(H: np.ndarray, g: np.ndarray, tol: Tolerances):
     """Scale rows to unit max-coefficient, snap dust, drop trivial constants,
     and collapse duplicate rows keeping the tightest bound."""
-    if H.shape[0] == 0:
-        return H, g, tags
     scale = _row_inf(H)
     if H.shape[1]:
         H = np.where(np.abs(H) <= _COEF_SNAP * scale[:, None], 0.0, H)
@@ -189,31 +164,25 @@ def _normalize_rows(H: np.ndarray, g: np.ndarray, tags: list[str], tol: Toleranc
     trivial = const & (g >= -tol.feas * (1.0 + g_span))
     keep = ~trivial
     H, g, scale = H[keep], g[keep], scale[keep]
-    tags = [t for t, k in zip(tags, keep) if k]
-    if H.shape[0] == 0:
-        return H, g, tags
 
     nz = scale > 0.0
     div = np.where(nz, scale, 1.0)
     H = H / div[:, None] if H.shape[1] else H
     g = g / div
 
-    # Duplicate normal vectors: keep the smallest bound (dominating row).
-    order: dict[tuple, int] = {}
-    out_idx: list[int] = []
-    for i in range(H.shape[0]):
-        key = tuple(np.round(H[i], 12))
-        j = order.get(key)
-        if j is None:
-            order[key] = len(out_idx)
-            out_idx.append(i)
-        elif g[i] < g[out_idx[j]]:
-            out_idx[j] = i
-    sel = np.array(out_idx, dtype=int)
-    return H[sel], g[sel], [tags[i] for i in sel]
+    # Duplicate normal vectors (equal to 12 decimals, -0.0 == 0.0): keep the
+    # smallest bound, the earliest row on ties, groups in first-row order.
+    _, first, group = np.unique(
+        np.round(H, 12) + 0.0, axis=0, return_index=True, return_inverse=True
+    )
+    group = group.ravel()
+    order = np.lexsort((g, group))
+    best = order[np.unique(group[order], return_index=True)[1]]
+    sel = best[np.argsort(first)]
+    return H[sel], g[sel]
 
 
-def _fm_step(H, g, tags: list[str], col: int, tol: Tolerances, caps: Caps):
+def _fm_step(H, g, col: int, tol: Tolerances, caps: Caps):
     coef = H[:, col]
     zero = coef == 0.0
     pos = coef > 0.0
@@ -225,32 +194,23 @@ def _fm_step(H, g, tags: list[str], col: int, tol: Tolerances, caps: Caps):
         )
     keep_cols = [j for j in range(H.shape[1]) if j != col]
     H_zero, g_zero = H[zero][:, keep_cols], g[zero]
-    tags_zero = [t for t, z in zip(tags, zero) if z]
 
     Hp, gp, ap = H[pos], g[pos], coef[pos]
     Hn, gn, an = H[neg], g[neg], coef[neg]
-    if n_new:
-        # Pairing a row with positive coefficient a_p and one with negative
-        # coefficient a_n: a_p * row_n - a_n * row_p cancels the column.
-        H_new = ap[:, None, None] * Hn[None, :, :] - an[None, :, None] * Hp[:, None, :]
-        g_new = ap[:, None] * gn[None, :] - an[None, :] * gp[:, None]
-        H_new = H_new.reshape(n_new, H.shape[1])[:, keep_cols]
-        g_new = g_new.reshape(n_new)
-        tags_new = [TAG_DERIVED] * n_new
-    else:
-        H_new = np.empty((0, len(keep_cols)))
-        g_new = np.empty(0)
-        tags_new = []
-
+    # Pairing a row with positive coefficient a_p and one with negative
+    # coefficient a_n: a_p * row_n - a_n * row_p cancels the column.
+    H_new = ap[:, None, None] * Hn[None, :, :] - an[None, :, None] * Hp[:, None, :]
+    g_new = ap[:, None] * gn[None, :] - an[None, :] * gp[:, None]
+    H_new = H_new.reshape(n_new, H.shape[1])[:, keep_cols]
+    g_new = g_new.reshape(n_new)
     H_out = np.vstack([H_zero, H_new])
     g_out = np.concatenate([g_zero, g_new])
-    tags_out = tags_zero + tags_new
-    H_out, g_out, tags_out = _normalize_rows(H_out, g_out, tags_out, tol)
+    H_out, g_out = _normalize_rows(H_out, g_out, tol)
     if H_out.shape[0] > caps.fm_row_cap:
         raise BlowupLimit(
             f"{H_out.shape[0]} rows after elimination (cap {caps.fm_row_cap})"
         )
-    return H_out, g_out, tags_out
+    return H_out, g_out
 
 
 def fm_eliminate(
@@ -269,10 +229,10 @@ def fm_eliminate(
     drop = sorted(set(int(v) for v in drop_vars), reverse=True)
     if any(v < 0 or v >= poly.dim for v in drop):
         raise DimensionMismatch(f"drop indices {drop} out of range for dim {poly.dim}")
-    H, g, tags = _normalize_rows(poly.H.copy(), poly.g.copy(), list(poly.tags), tol)
+    H, g = _normalize_rows(poly.H, poly.g, tol)
     for col in drop:
-        H, g, tags = _fm_step(H, g, tags, col, tol, caps)
-    return HPolyhedron(H=H, g=g, tags=tuple(tags))
+        H, g = _fm_step(H, g, col, tol, caps)
+    return HPolyhedron(H=H, g=g)
 
 
 def feasible(
@@ -283,10 +243,10 @@ def feasible(
     """Exact emptiness test: eliminate all variables, check constant rows."""
     if poly.empty:
         return False
-    H, g, tags = _normalize_rows(poly.H.copy(), poly.g.copy(), list(poly.tags), tol)
+    H, g = _normalize_rows(poly.H, poly.g, tol)
     g_span = float(np.max(np.abs(poly.g))) if poly.nrows else 0.0
     for col in reversed(range(poly.dim)):
-        H, g, tags = _fm_step(H, g, tags, col, tol, caps)
+        H, g = _fm_step(H, g, col, tol, caps)
         if g.size:
             g_span = max(g_span, float(np.max(np.abs(g))))
     if g.size == 0:
@@ -323,8 +283,7 @@ def build_lambda(
         ]
     )
     g = np.concatenate([x_ls, -x_ls, np.zeros(n), np.full(n, r)])
-    tags = (TAG_LAMBDA,) * (2 * n) + (TAG_BOX,) * (2 * n)
-    return HPolyhedron(H=H, g=g, tags=tags)
+    return HPolyhedron(H=H, g=g)
 
 
 def g_of_r(
@@ -342,28 +301,6 @@ def g_of_r(
     lam = build_lambda(param, r, tol=tol, caps=caps)
     n = param.x_ls.shape[0]
     return fm_eliminate(lam, range(n, n + param.d), tol=tol, caps=caps)
-
-
-def omega_of_r(param: SolutionParam, r: float) -> HPolyhedron:
-    """The solution polytope {x : A x = b, |x_i| <= r} as 2(n+m) explicit rows.
-
-    Row order: interleaved coordinate bounds x_i <= r, -x_i <= r, then the
-    system rows A x <= b followed by -A x <= -b (equalities as paired
-    inequalities).
-    """
-    r = float(r)
-    if not r > 0.0:
-        raise ValueError(f"radius must be positive, got {r}")
-    A, b = param.instance.A, param.instance.b
-    m, n = A.shape
-    rows = np.zeros((2 * n, n))
-    for i in range(n):
-        rows[2 * i, i] = 1.0
-        rows[2 * i + 1, i] = -1.0
-    H = np.vstack([rows, A, -A])
-    g = np.concatenate([np.full(2 * n, r), b, -b])
-    tags = (TAG_BOX,) * (2 * n) + (TAG_LAMBDA,) * (2 * m)
-    return HPolyhedron(H=H, g=g, tags=tags)
 
 
 def _combo_chunks(k: int, q: int, chunk: int):
@@ -601,11 +538,3 @@ def g_vertices(
     cand = _dedup_points(_lift_vertex_moduli(param, float(r), tol), tol)
     return _certified_vertices(gpoly, cand, tol)
 
-
-def dump_text(poly: HPolyhedron) -> str:
-    """Debug dump: one row per line, ``h_1 ... h_q <= gamma``, 17 significant digits."""
-    lines = []
-    for i in range(poly.nrows):
-        coeffs = " ".join("%.17g" % v for v in poly.H[i])
-        lines.append(f"{coeffs} <= {'%.17g' % poly.g[i]}".strip())
-    return "\n".join(lines) + ("\n" if lines else "")

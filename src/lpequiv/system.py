@@ -214,7 +214,7 @@ def _parse_entry(token: str, lineno: int) -> float:
     # Entries may be decimals or exact fractions like -20/29.
     try:
         return float(Fraction(token))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InstanceParseError(f"bad entry {token!r}", line=lineno) from exc
 
 

@@ -192,6 +192,13 @@ class TestErrorPaths:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_entry_beyond_float_range_exit2(self, tmp_path, capsys):
+        f = tmp_path / "huge.txt"
+        f.write_text("1 3\n1 1e400 1\n1\n")
+        code, text = run_cli(["solve", str(f), "--l0"])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: line 2:")
+
     def test_inconsistent_exit3(self, tmp_path):
         f = tmp_path / "inc.txt"
         f.write_text("2 2\n1 1\n1 1\n1 2\n")

@@ -12,17 +12,16 @@ from lpequiv import (
     build_lambda,
     compute_rm,
     decompose,
-    dump_text,
     enumerate_vertices,
     feasible,
     fm_eliminate,
     g_of_r,
     g_vertices,
     load_and_reduce,
-    omega_of_r,
 )
+from lpequiv import polytope
 from lpequiv.config import DEFAULT_TOLERANCES
-from lpequiv.polytope import TAG_BOX, TAG_DERIVED, TAG_LAMBDA, _dedup_points
+from lpequiv.polytope import _dedup_points, _normalize_rows
 
 from conftest import (
     LADDER,
@@ -33,10 +32,8 @@ from conftest import (
 )
 
 
-def poly2(H, g, tags=None):
-    H = np.asarray(H, dtype=float)
-    tags = tags or (TAG_DERIVED,) * H.shape[0]
-    return HPolyhedron(H=H, g=np.asarray(g, dtype=float), tags=tags)
+def poly2(H, g):
+    return HPolyhedron(H=np.asarray(H, dtype=float), g=np.asarray(g, dtype=float))
 
 
 def brute_vertices(H, g, feas=1e-9):
@@ -105,7 +102,6 @@ class TestBuildLambda:
         param = decompose(pair11)
         lam = build_lambda(param, 2.0)
         assert lam.nrows == 8 and lam.dim == 3
-        assert lam.tags.count(TAG_LAMBDA) == 4 and lam.tags.count(TAG_BOX) == 4
 
     def test_row_count_ex1(self, ex1):
         param = decompose(ex1)
@@ -137,7 +133,7 @@ class TestFmEliminate:
             np.allclose(h, [-1.0, -1.0]) and np.isclose(gam, -1.0)
             for h, gam in zip(proj.H, proj.g)
         )
-        assert found, dump_text(proj)
+        assert found, (proj.H, proj.g)
 
     def test_eliminate_nothing_preserves_set(self, pair11):
         param = decompose(pair11)
@@ -157,11 +153,6 @@ class TestFmEliminate:
         lam = build_lambda(param, 2.0)
         with pytest.raises(BlowupLimit):
             fm_eliminate(lam, [4], caps=Caps(fm_row_cap=3))
-
-    def test_derived_tagging(self, pair11):
-        param = decompose(pair11)
-        proj = g_of_r(param, 2.0)
-        assert TAG_DERIVED in proj.tags and TAG_BOX in proj.tags
 
 
 class TestGofR:
@@ -262,7 +253,6 @@ class TestEnumerateVertices:
         poly = poly2(
             [[-1, 0], [1, 0], [0, -1], [0, 1]],
             [0, 1, 0, 1],
-            (TAG_BOX,) * 4,
         )
         vs = enumerate_vertices(poly)
         assert as_point_set(vs) == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -449,6 +439,83 @@ class TestDedupPoints:
             np.testing.assert_array_equal(_dedup_points(pts, DEFAULT_TOLERANCES), greedy_dedup(pts))
 
 
+def dict_normalize_rows(H, g, tol=DEFAULT_TOLERANCES):
+    """Test-local reference: row normalization with the per-row dict collapse
+    of duplicate normals (key: the row rounded to 12 decimals)."""
+    if H.shape[0] == 0:
+        return H, g
+    scale = np.max(np.abs(H), axis=1) if H.shape[1] else np.zeros(H.shape[0])
+    if H.shape[1]:
+        H = np.where(np.abs(H) <= 1e-13 * scale[:, None], 0.0, H)
+        scale = np.max(np.abs(H), axis=1)
+    const = scale == 0.0
+    g_span = float(np.max(np.abs(g))) if g.size else 0.0
+    keep = ~(const & (g >= -tol.feas * (1.0 + g_span)))
+    H, g, scale = H[keep], g[keep], scale[keep]
+    if H.shape[0] == 0:
+        return H, g
+    div = np.where(scale > 0.0, scale, 1.0)
+    H = H / div[:, None] if H.shape[1] else H
+    g = g / div
+    order = {}
+    out_idx = []
+    for i in range(H.shape[0]):
+        key = tuple(np.round(H[i], 12))
+        j = order.get(key)
+        if j is None:
+            order[key] = len(out_idx)
+            out_idx.append(i)
+        elif g[i] < g[out_idx[j]]:
+            out_idx[j] = i
+    sel = np.array(out_idx, dtype=int)
+    return H[sel], g[sel]
+
+
+def assert_bit_identical(ours, ref):
+    for a, b in zip(ours, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestNormalizeRows:
+    def test_matches_dict_reference_during_g_of_r(self, ex1, pair11, monkeypatch):
+        # every row set that g_of_r normalizes at r1, during its elimination
+        calls = []
+
+        def spy(H, g, tol):
+            calls.append((H, g))
+            return _normalize_rows(H, g, tol)
+
+        monkeypatch.setattr(polytope, "_normalize_rows", spy)
+        expected = 0
+        for inst in (ex1, pair11, *map(ladder_instance, LADDER), *seeded_small_instances()):
+            param = decompose(inst)
+            g_of_r(param, inst.n * float(np.max(np.abs(param.x_ls))))
+            expected += 1 + param.d  # once on entry, once per eliminated column
+        monkeypatch.undo()
+        assert len(calls) == expected
+        for H, g in calls:
+            assert_bit_identical(_normalize_rows(H, g, DEFAULT_TOLERANCES), dict_normalize_rows(H, g))
+
+    def test_hand_rows(self):
+        H = np.array(
+            [
+                [1.0, 0.5, -0.0],
+                [1.0, 0.5, 0.0],  # signed zero: same normal as row 0
+                [2.0, -6e-13, 1.0],  # above the dust snap, rounds to -0.0
+                [2.0, 6e-13, 1.0],
+                [1.0, 0.25, 0.5],
+                [1.0, 0.25, 0.5 + 1e-14],  # differs below the 1e-12 rounding
+                [-1.0, 0.0, 0.0],
+                [-1.0, 0.0, 0.0],  # exact tie in g: the earliest row stays
+            ]
+        )
+        g = np.array([3.0, 2.0, 4.0, 4.0, 1.0, 0.5, 0.0, 0.0])
+        ours = _normalize_rows(H, g, DEFAULT_TOLERANCES)
+        assert_bit_identical(ours, dict_normalize_rows(H, g))
+        np.testing.assert_array_equal(ours[1], [2.0, 2.0, 0.5, 0.0])
+        assert ours[0][1, 1] == -3e-13  # the earlier of two rows tied in g
+
+
 class TestFeasible:
     def test_trivial(self):
         assert feasible(poly2([[1.0], [-1.0]], [1.0, 0.0]))
@@ -472,33 +539,8 @@ class TestFeasible:
             # substitute z into the lift: rows over the c variables only
             H_c = lam.H[:, n:]
             g_c = lam.g - lam.H[:, :n] @ z
-            lifted = HPolyhedron(H=H_c, g=g_c, tags=lam.tags)
+            lifted = HPolyhedron(H=H_c, g=g_c)
             assert member == feasible(lifted)
             agree += 1
         assert agree == 200
 
-
-class TestOmega:
-    def test_row_count_and_membership(self, ex1):
-        param = decompose(ex1)
-        omega = omega_of_r(param, 2.0)
-        assert omega.nrows == 2 * (4 + 3)
-        assert omega.contains(np.array([1.45, 2.0, 0.0, 0.0]))
-        assert not omega.contains(np.array([3.0, 2.0, 0.0, 0.0]))
-
-    def test_least_norm_inside(self, ex1):
-        param = decompose(ex1)
-        r = float(np.max(np.abs(param.x_ls))) + 0.1
-        assert omega_of_r(param, r).contains(param.x_ls)
-
-
-class TestDump:
-    def test_round_trip_precision(self, pair11):
-        param = decompose(pair11)
-        gp = g_of_r(param, 2.0)
-        text = dump_text(gp)
-        for line, row, gam in zip(text.splitlines(), gp.H, gp.g):
-            lhs, rhs = line.split("<=")
-            parsed = [float(v) for v in lhs.split()]
-            assert parsed == list(row)
-            assert float(rhs) == gam

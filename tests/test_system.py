@@ -160,6 +160,11 @@ class TestParsing:
             parse_instance_text("1 2\n1 oops\n1\n")
         assert exc.value.line == 2
 
+    def test_entry_beyond_float_range_reports_line(self):
+        with pytest.raises(InstanceParseError) as exc:
+            parse_instance_text("1 3\n1 1e400 1\n1\n")
+        assert exc.value.line == 2
+
     def test_missing_rhs(self):
         with pytest.raises(InstanceParseError):
             parse_instance_text("2 2\n1 0\n0 1\n")
