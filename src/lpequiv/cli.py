@@ -14,6 +14,7 @@ command-line flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -119,6 +120,7 @@ def _parse_t_range(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"bad range {text!r}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpequiv",
@@ -157,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _solution_entry(sol) -> dict:
     return {
-        "x": [float(v) for v in sol.x],
+        "x": sol.x.tolist(),
         "support": list(sol.support),
         "l0": sol.l0,
         "residual": sol.residual,
@@ -181,8 +183,8 @@ def cmd_analyze(args, cfg: RunConfig, out) -> int:
             "n": inst.n,
             "d": param.d,
         },
-        "least_norm_solution": [float(v) for v in param.x_ls],
-        "null_basis": [[float(v) for v in row] for row in param.N],
+        "least_norm_solution": param.x_ls.tolist(),
+        "null_basis": param.N.tolist(),
         "sparsest": {
             "k0": cert.k0,
             "solutions": [_solution_entry(s) for s in table.sparsest()],
@@ -209,13 +211,15 @@ def _analyze_text(report: dict) -> str:
         f"r_used = {format_float(cert['r_used'])} ({cert['radius_source']})",
         f"r_m = {format_float(cert['r_m'])}",
         f"p_bound = {format_float(cert['p_bound'])}" + ("  [capped]" if cert["capped"] else ""),
-        "p        holds  lp_l0  in_box",
-    ]
-    for v in cert["verifications"]:
-        lines.append(
-            f"{v['p']:<8g} {str(v['holds']):<6} {v['lp_l0']:<6d} {str(v['in_box'])}"
-        )
+    ] + _table_lines(cert["verifications"])
     return "\n".join(lines) + "\n"
+
+
+def _table_lines(rows: list[dict]) -> list[str]:
+    return ["p        holds  lp_l0  in_box"] + [
+        f"{v['p']:<8g} {str(v['holds']):<6} {v['lp_l0']:<6d} {str(v['in_box'])}"
+        for v in rows
+    ]
 
 
 def cmd_solve(args, cfg: RunConfig, out) -> int:
@@ -238,9 +242,9 @@ def cmd_solve(args, cfg: RunConfig, out) -> int:
             "radius_used": lps[0].radius_used,
             "solutions": [
                 {
-                    "x": [float(v) for v in s.x],
+                    "x": s.x.tolist(),
                     "objective": s.objective,
-                    "support": [int(i) for i in np.flatnonzero(s.x != 0.0)],
+                    "support": np.flatnonzero(s.x != 0.0).tolist(),
                     "l0": s.l0(cfg.tolerances),
                     "radius_active": s.radius_active,
                 }
@@ -309,29 +313,27 @@ def cmd_scan(args, cfg: RunConfig, out) -> int:
     result = scan_pstar(
         inst, grid, radius_override=radius, tol=cfg.tolerances, caps=cfg.caps
     )
+    cert = certificate_report(result.certificate)
+    rows = cert["verifications"]
     fmt = args.format or cfg.output_format
     if fmt == "csv":
-        rows = [[v.p, v.holds, v.lp_l0, v.in_box] for v in result.table]
-        out.write(dump_csv(["p", "holds", "lp_l0", "in_box"], rows))
+        header = ["p", "holds", "lp_l0", "in_box"]
+        out.write(dump_csv(header, [[v[k] for k in header] for v in rows]))
     elif fmt == "text":
-        lines = ["p        holds  lp_l0  in_box"]
-        for v in result.table:
-            lines.append(f"{v.p:<8g} {str(v.holds):<6} {v.lp_l0:<6d} {str(v.in_box)}")
-        lines.append(f"largest_prefix_hold = {result.largest_prefix_hold}")
-        lines.append(f"smallest_fail = {result.smallest_fail}")
+        lines = _table_lines(rows) + [
+            f"largest_prefix_hold = {result.largest_prefix_hold}",
+            f"smallest_fail = {result.smallest_fail}",
+        ]
         out.write("\n".join(lines) + "\n")
     else:
         out.write(
             dump_json(
                 {
                     "grid": list(grid),
-                    "table": [
-                        {"p": v.p, "holds": v.holds, "lp_l0": v.lp_l0, "in_box": v.in_box}
-                        for v in result.table
-                    ],
+                    "table": rows,
                     "largest_prefix_hold": result.largest_prefix_hold,
                     "smallest_fail": result.smallest_fail,
-                    "certificate": certificate_report(result.certificate),
+                    "certificate": cert,
                 }
             )
         )

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import BlowupLimit, DimensionMismatch, Unbounded
-from .system import SolutionParam
+from .system import SolutionParam, _nonsingular
 
 __all__ = [
     "HPolyhedron",
@@ -486,9 +486,7 @@ def _lift_vertex_moduli(param: SolutionParam, r: float, tol: Tolerances) -> np.n
     n, d = N.shape
     pins = np.array(list(itertools.combinations(range(n), d)), dtype=np.intp)
     sub = N[pins]  # sub[k] = N[pins[k]], the pinned rows
-    # blocks below the tol.rank fraction of Hadamard's bound count as singular
-    hadamard = np.prod(np.linalg.norm(sub, axis=2), axis=1)
-    ok = np.abs(np.linalg.det(sub)) > tol.rank * hadamard
+    ok = _nonsingular(sub, tol.rank, axis=2)
     pins, sub = pins[ok], sub[ok]
     values = np.array(list(itertools.product((0.0, r, -r), repeat=d)))
     rhs = values[None, :, :] - x_ls[pins][:, None, :]

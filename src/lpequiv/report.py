@@ -1,14 +1,14 @@
 """Deterministic serialization helpers.
 
-Floats are rendered with 17 significant digits so every value round-trips
-through its decimal form unchanged; dictionary keys are emitted sorted, so
-identical inputs always produce byte-identical output.
+Floats are rendered in their shortest round-trip form (``repr``), so every
+value parses back to the identical float; JSON floats always carry a
+decimal point or exponent. Dictionary keys are emitted sorted, so identical
+inputs always produce byte-identical output.
 """
 from __future__ import annotations
 
+import json
 import math
-
-import numpy as np
 
 __all__ = ["format_float", "dump_json", "dump_csv"]
 
@@ -17,64 +17,23 @@ def format_float(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x}")
-    return "%.17g" % x
+    return repr(x)
 
 
-def _emit(obj, parts: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        keys = sorted(obj.keys())
-        for i, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {key!r}")
-            parts.append(f'{pad_in}"{key}": ')
-            _emit(obj[key], parts, indent, level + 1)
-            parts.append(",\n" if i + 1 < len(keys) else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, item in enumerate(items):
-            parts.append(pad_in)
-            _emit(item, parts, indent, level + 1)
-            parts.append(",\n" if i + 1 < len(items) else "\n")
-        parts.append(pad + "]")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        parts.append("true" if obj else "false")
-    elif obj is None:
-        parts.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        parts.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def dump_json(obj, indent: int = 2) -> str:
-    """JSON text with sorted keys and 17-significant-digit floats."""
-    parts: list[str] = []
-    _emit(obj, parts, indent, 0)
-    return "".join(parts) + "\n"
+def dump_json(obj) -> str:
+    """JSON text with sorted keys, two-space indents and round-trip floats."""
+    return json.dumps(
+        obj, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False
+    ) + "\n"
 
 
 def dump_csv(header: list[str], rows: list[list]) -> str:
-    """CSV text; floats use 17 significant digits."""
+    """CSV text; floats use the same rule as JSON."""
     def cell(v) -> str:
         if isinstance(v, bool):
             return "1" if v else "0"
-        if isinstance(v, (float, np.floating)):
-            return format_float(float(v))
+        if isinstance(v, float):
+            return format_float(v)
         return str(v)
 
     lines = [",".join(header)]

@@ -18,7 +18,7 @@ import numpy as np
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import BlowupLimit, CorankMismatch, NumericalRankFailure
 from .polytope import build_lambda
-from .system import Instance, SolutionParam, decompose
+from .system import Instance, SolutionParam, _nonsingular, decompose
 
 __all__ = [
     "SparseSolution",
@@ -160,8 +160,7 @@ def basic_table(
     param = decompose(inst, tol=tol)
     blocks = np.array(list(combinations(range(n), m)), dtype=np.intp)
     sub = A[:, blocks].transpose(1, 0, 2)  # sub[k] = A[:, blocks[k]]
-    hadamard = np.prod(np.linalg.norm(sub, axis=1), axis=1)
-    ok = np.abs(np.linalg.det(sub)) > tol.rank * hadamard
+    ok = _nonsingular(sub, tol.rank)
     blocks = blocks[ok]
     rhs = np.broadcast_to(b[:, None], (blocks.shape[0], m, 1))
     X = np.zeros((blocks.shape[0], n))

@@ -110,6 +110,20 @@ def _numerical_rank(M: np.ndarray, rel_tol: float) -> int:
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
+def _nonsingular(blocks: np.ndarray, rel_tol: float, axis: int = 1) -> np.ndarray:
+    """Mask of the square blocks whose |det| exceeds ``rel_tol`` times Hadamard's bound.
+
+    The bound multiplies the norms of the columns (``axis=1``) or rows
+    (``axis=2``). Scaling each by the power of two above its largest entry
+    is exact and keeps the ratio, so nothing overflows or underflows; an
+    all-zero column or row gives det 0, so its block is singular.
+    """
+    _, e = np.frexp(np.max(np.abs(blocks), axis=axis, keepdims=True))
+    scaled = np.ldexp(blocks, -e)
+    hadamard = np.prod(np.linalg.norm(scaled, axis=axis), axis=1)
+    return np.abs(np.linalg.det(scaled)) > rel_tol * hadamard
+
+
 def load_and_reduce(
     raw_matrix,
     raw_rhs,

@@ -6,8 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from lpequiv import NoNonzeroCoordinate, compute_bound, equivalence
+from lpequiv import (
+    NoNonzeroCoordinate,
+    compute_bound,
+    equivalence,
+    load_instance,
+    scan_pstar,
+    solve_l0,
+    solve_lp_extreme,
+    verify_equivalence,
+)
 from lpequiv.cli import main
+
+from conftest import LADDER, ladder_instance
 
 
 def run_cli(argv):
@@ -19,6 +30,34 @@ def run_cli(argv):
 @pytest.fixture()
 def ex1_file(ex1_path):
     return str(ex1_path)
+
+
+def write_instance(path, inst):
+    lines = [f"{inst.m} {inst.n}"]
+    lines += [" ".join(repr(v) for v in row) for row in inst.A.tolist()]
+    lines.append(" ".join(repr(v) for v in inst.b.tolist()))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def walk_floats(obj):
+    if isinstance(obj, dict):
+        for v in obj.values():
+            yield from walk_floats(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from walk_floats(v)
+    elif isinstance(obj, float):
+        yield obj
+
+
+def assert_same_floats(got, want):
+    """JSON values parsed back as floats identical to the library's, zero signs included."""
+    got = got if isinstance(got, list) else [got]
+    want = np.atleast_1d(want).tolist()
+    assert [type(v) for v in got] == [float] * len(want)
+    assert got == want
+    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
 
 
 class TestAnalyze:
@@ -53,22 +92,61 @@ class TestAnalyze:
         assert code == 0
         assert "p_bound" in text and "k0 = 2" in text
 
-    def test_numbers_round_trip(self, ex1_file):
+    def test_numbers_round_trip(self, ex1_file, tmp_path):
         code, text = run_cli(["analyze", ex1_file, "--p", "0.8"])
         report = json.loads(text)
-
-        def walk(obj):
-            if isinstance(obj, dict):
-                for v in obj.values():
-                    yield from walk(v)
-            elif isinstance(obj, list):
-                for v in obj:
-                    yield from walk(v)
-            elif isinstance(obj, float):
-                yield obj
-
-        for v in walk(report):
+        for v in walk_floats(report):
             assert float("%.17g" % v) == v
+
+        files = [ex1_file] + [
+            write_instance(tmp_path / f"{name}.txt", ladder_instance(name)) for name in LADDER
+        ]
+        grid = [0.1, 0.5, 0.8, 1.0]
+        for path in files:
+            inst = load_instance(path)
+
+            def check_certificate(got, cert):
+                for key in ("r0", "r1", "r_used", "r_m", "p_bound"):
+                    assert_same_floats(got[key], getattr(cert, key))
+                assert_same_floats([v["p"] for v in got["verifications"]], grid)
+
+            def check_solutions(got, sols):
+                assert len(got) == len(sols)
+                for g, s in zip(got, sols):
+                    assert_same_floats(g["x"], s.x)
+                    assert_same_floats(g["residual"], s.residual)
+
+            _, text = run_cli(["analyze", path, "--p", "0.1,0.5,0.8,1"])
+            report = json.loads(text)
+            check_certificate(report["certificate"], verify_equivalence(inst, grid))
+            check_solutions(report["sparsest"]["solutions"], solve_l0(inst))
+
+            _, text = run_cli(["scan", path, "--p-grid", "0.1,0.5,0.8,1"])
+            report = json.loads(text)
+            result = scan_pstar(inst, grid)
+            check_certificate(report["certificate"], result.certificate)
+            assert report["table"] == report["certificate"]["verifications"]
+            assert_same_floats(report["grid"], grid)
+
+            _, text = run_cli(["solve", path, "--l0"])
+            check_solutions(json.loads(text)["solutions"], solve_l0(inst))
+
+            _, text = run_cli(["solve", path, "--p", "0.5"])
+            report = json.loads(text)
+            lps = solve_lp_extreme(inst, 0.5)
+            assert_same_floats(report["p"], 0.5)
+            assert_same_floats(report["radius_used"], lps[0].radius_used)
+            assert len(report["solutions"]) == len(lps)
+            for got, s in zip(report["solutions"], lps):
+                assert_same_floats(got["x"], s.x)
+                assert_same_floats(got["objective"], s.objective)
+
+    def test_control_character_in_name(self, ex1_path, tmp_path):
+        f = tmp_path / "tab\there.txt"
+        f.write_text(ex1_path.read_text())
+        code, text = run_cli(["analyze", str(f), "--p", "0.8"])
+        assert code == 0
+        assert json.loads(text)["instance"]["name"] == "tab\there"
 
 
 class TestSolve:

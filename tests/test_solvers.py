@@ -127,6 +127,14 @@ class TestSolveL0:
         for s in solve_l0(ex1):
             assert s.residual <= 1e-9 * (1 + np.max(np.abs(ex1.b)))
 
+    def test_entries_near_float_max(self):
+        # column norms of 1e300 overflow in a plain Hadamard bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sols = solve_l0(load_and_reduce([[1, 1e300, 1e300]], [1e300]))
+        assert [s.support for s in sols] == [(0,), (1,), (2,)]
+        np.testing.assert_array_equal([s.x for s in sols], [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]])
+
 
 class TestSolveLpExtreme:
     def test_ex1_p08(self, ex1):

@@ -1,4 +1,6 @@
 """Row reduction, decomposition and the instance text format."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from lpequiv import (
     parse_instance_text,
     solution_at,
 )
+
+from lpequiv.system import _nonsingular
 
 from conftest import ex1_point
 
@@ -135,6 +139,38 @@ class TestSolutionAt:
             rest = h - null_part
             coef, resid, *_ = np.linalg.lstsq(A.T, rest, rcond=None)
             assert np.max(np.abs(A.T @ coef - rest)) <= 1e-9 * (1 + np.max(np.abs(h)))
+
+
+class TestNonsingular:
+    @staticmethod
+    def plain_hadamard(blocks, rel_tol, axis):
+        bound = np.prod(np.linalg.norm(blocks, axis=axis), axis=1)
+        return np.abs(np.linalg.det(blocks)) > rel_tol * bound
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_matches_plain_bound_in_range(self, axis):
+        rng = np.random.default_rng(8)
+        blocks = rng.integers(-2, 3, size=(500, 3, 3)).astype(float)
+        blocks *= 10.0 ** rng.integers(-8, 9, size=(500, 1, 3))
+        for rel_tol in (1e-10, 1e-2):
+            np.testing.assert_array_equal(
+                _nonsingular(blocks, rel_tol, axis), self.plain_hadamard(blocks, rel_tol, axis)
+            )
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_scale_free(self, scale):
+        blocks = scale * np.array(
+            [
+                [[1.0, 2.0], [3.0, 4.0]],  # nonsingular
+                [[1.0, 2.0], [2.0, 4.0]],  # dependent columns and rows
+                [[0.0, 2.0], [0.0, 4.0]],  # zero column
+                [[0.0, 0.0], [3.0, 4.0]],  # zero row
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for axis in (1, 2):
+                assert _nonsingular(blocks, 1e-10, axis).tolist() == [True, False, False, False]
 
 
 class TestParsing:
