@@ -14,7 +14,6 @@ command-line flags win.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -120,7 +119,6 @@ def _parse_t_range(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"bad range {text!r}") from exc
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpequiv",

@@ -114,9 +114,12 @@ def _nonsingular(blocks: np.ndarray, rel_tol: float, axis: int = 1) -> np.ndarra
     """Mask of the square blocks whose |det| exceeds ``rel_tol`` times Hadamard's bound.
 
     The bound multiplies the norms of the columns (``axis=1``) or rows
-    (``axis=2``). Scaling each by the power of two above its largest entry
-    is exact and keeps the ratio, so nothing overflows or underflows; an
-    all-zero column or row gives det 0, so its block is singular.
+    (``axis=2``). Each is first scaled by the power of two above its largest
+    entry, so nothing overflows or underflows; an all-zero column or row
+    gives det 0, so its block is singular. Scaling keeps the ratio only up
+    to rounding (numpy's det is the exponential of a log-determinant, and
+    row scaling can change the pivot order), so a block within rounding of
+    the threshold may be decided differently than without scaling.
     """
     _, e = np.frexp(np.max(np.abs(blocks), axis=axis, keepdims=True))
     scaled = np.ldexp(blocks, -e)

@@ -157,6 +157,22 @@ class TestNonsingular:
                 _nonsingular(blocks, rel_tol, axis), self.plain_hadamard(blocks, rel_tol, axis)
             )
 
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_near_threshold(self, axis):
+        # thresholds at the blocks' own ratios; columns (rows) scaled apart
+        rng = np.random.default_rng(9)
+        blocks = rng.standard_normal((400, 3, 3))
+        blocks[200:, :, 2] = blocks[200:, :, 0] + 1e-6 * blocks[200:, :, 2]
+        shape = (400, 1, 3) if axis == 1 else (400, 3, 1)
+        blocks *= 10.0 ** rng.integers(-12, 13, size=shape)
+        bound = np.prod(np.linalg.norm(blocks, axis=axis), axis=1)
+        ratio = np.abs(np.linalg.det(blocks)) / bound
+        for rel_tol in np.concatenate([ratio[:25], ratio[200:225]]):
+            away = ~np.isclose(ratio, rel_tol, rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(
+                _nonsingular(blocks, rel_tol, axis)[away], (ratio > rel_tol)[away]
+            )
+
     @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
     def test_scale_free(self, scale):
         blocks = scale * np.array(
