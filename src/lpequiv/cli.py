@@ -35,7 +35,7 @@ from .errors import (
     ZeroRhs,
 )
 from .report import dump_csv, dump_json, format_float
-from .solvers import basic_table, lp_objective, solve_l0, solve_lp_extreme
+from .solvers import basic_table, lp_objective, solve_lp_extreme
 from .system import decompose, load_instance
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -155,12 +155,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solution_entry(sol) -> dict:
+def _sparsest_report(table) -> dict:
+    """k0 and every sparsest solution, straight from the table's arrays."""
+    X, supports, residual = table.sparsest_rows()
+    k0 = supports.shape[1]
     return {
-        "x": sol.x.tolist(),
-        "support": list(sol.support),
-        "l0": sol.l0,
-        "residual": sol.residual,
+        "k0": k0,
+        "solutions": [
+            {"x": x, "support": s, "l0": k0, "residual": r}
+            for x, s, r in zip(X.tolist(), supports.tolist(), residual.tolist())
+        ],
     }
 
 
@@ -183,10 +187,7 @@ def cmd_analyze(args, cfg: RunConfig, out) -> int:
         },
         "least_norm_solution": param.x_ls.tolist(),
         "null_basis": param.N.tolist(),
-        "sparsest": {
-            "k0": cert.k0,
-            "solutions": [_solution_entry(s) for s in table.sparsest()],
-        },
+        "sparsest": _sparsest_report(table),
         "certificate": certificate_report(cert),
     }
     fmt = args.format or cfg.output_format
@@ -215,7 +216,7 @@ def _analyze_text(report: dict) -> str:
 
 def _table_lines(rows: list[dict]) -> list[str]:
     return ["p        holds  lp_l0  in_box"] + [
-        f"{v['p']:<8g} {str(v['holds']):<6} {v['lp_l0']:<6d} {str(v['in_box'])}"
+        f"{format_float(v['p']):<8} {str(v['holds']):<6} {v['lp_l0']:<6d} {str(v['in_box'])}"
         for v in rows
     ]
 
@@ -223,12 +224,8 @@ def _table_lines(rows: list[dict]) -> list[str]:
 def cmd_solve(args, cfg: RunConfig, out) -> int:
     inst = load_instance(args.instance, tol=cfg.tolerances)
     if args.l0:
-        sols = solve_l0(inst, tol=cfg.tolerances, caps=cfg.caps)
-        report = {
-            "mode": "l0",
-            "k0": sols[0].l0,
-            "solutions": [_solution_entry(s) for s in sols],
-        }
+        table = basic_table(inst, tol=cfg.tolerances, caps=cfg.caps)
+        report = {"mode": "l0", **_sparsest_report(table)}
     else:
         lps = solve_lp_extreme(
             inst, args.p, radius_override=cfg.radius_override,

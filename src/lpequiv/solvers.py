@@ -124,18 +124,41 @@ class BasicTable:
         objs = np.sum(np.abs(self.x) ** p, axis=1)
         return np.flatnonzero(objs <= float(np.min(objs)) * (1.0 + 1e-10))
 
+    def sparsest_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, support, residual) of the rows of minimum support k0, in table order.
+
+        ``support`` is an int array of shape (rows, k0): each of these rows
+        has exactly k0 nonzeros, so one ``np.nonzero`` over the selection
+        gives every row's support in ascending order.
+        """
+        rows = self.l0 == np.min(self.l0)
+        X = self.x[rows]
+        supports = np.nonzero(X)[1].reshape(X.shape[0], -1)
+        return X, supports, self.residual[rows]
+
     def sparsest(self) -> list[SparseSolution]:
         """The rows of minimum support, ordered lexicographically by support."""
-        k0 = int(np.min(self.l0))
+        X, supports, residual = self.sparsest_rows()
+        k0 = supports.shape[1]
         return [
-            SparseSolution(
-                x=self.x[i],
-                support=np.flatnonzero(self.x[i]),
-                l0=k0,
-                residual=float(self.residual[i]),
-            )
-            for i in np.flatnonzero(self.l0 == k0)
+            SparseSolution(x=x, support=s, l0=k0, residual=r)
+            for x, s, r in zip(X, supports.tolist(), residual.tolist())
         ]
+
+
+def _first_of_each(mask: np.ndarray) -> np.ndarray:
+    """Index of the first row of each distinct row of a bool matrix, with the
+    rows in lexicographic order (False before True).
+
+    Each row is packed eight columns to a byte, first column in the top bit,
+    and read as one opaque byte string. Byte strings compare like the rows
+    themselves (the zero padding of the last byte is common to all), and
+    np.unique's stable sort keeps the first row of each, so this equals
+    ``np.unique(mask, axis=0, return_index=True)[1]`` for any row length,
+    without sorting structured rows.
+    """
+    packed = np.packbits(mask, axis=1)
+    return np.unique(packed.view(f"V{packed.shape[1]}")[:, 0], return_index=True)[1]
 
 
 def basic_table(
@@ -171,9 +194,8 @@ def basic_table(
         raise NumericalRankFailure("no column block yields a feasible basic solution")
     X, resid = X[keep], resid[keep]
     X[np.abs(X) <= tol.zero_tol(np.max(np.abs(X), axis=1))[:, None]] = 0.0
-    # np.unique sorts the zero masks, which orders equal-size supports
-    # lexicographically, and returns the first row of each
-    _, first = np.unique(X == 0.0, axis=0, return_index=True)
+    # sorting the zero masks orders equal-size supports lexicographically
+    first = _first_of_each(X == 0.0)
     return BasicTable(
         param=param,
         x=X[first],

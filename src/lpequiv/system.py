@@ -162,7 +162,12 @@ def load_and_reduce(
     if rank_a >= n:
         raise NotUnderdetermined(f"rank {rank_a} for {n} unknowns")
 
-    selected: list[int] = []
+    # Full row rank keeps every row, and the loop stops at once. By Cauchy
+    # interlacing the first k rows of A0 have sigma_1 <= sigma_1(A0) and
+    # sigma_k >= sigma_m0(A0), so each prefix passes the same relative rank
+    # test as A0 (up to rounding at the threshold): the loop would select
+    # every row in order anyway.
+    selected: list[int] = list(range(m0)) if rank_a == m0 else []
     for i in range(m0):
         if len(selected) == rank_a:
             break

@@ -94,3 +94,10 @@ def integer_instance(rng: np.random.Generator, m: int, n: int, negdup: bool = Fa
 
 def random_corank1_instance(rng: np.random.Generator, n: int) -> Instance:
     return random_instance(rng, n - 1, n)
+
+
+def seeded_small_instances():
+    rng = np.random.default_rng(55)
+    for m, n in ((1, 3), (2, 4), (1, 4), (3, 5), (2, 5)):
+        for negdup in (False, True):
+            yield integer_instance(rng, m, n, negdup)

@@ -17,8 +17,9 @@ from lpequiv import (
     verify_equivalence,
 )
 from lpequiv.cli import main
+from lpequiv.report import dump_json, format_float
 
-from conftest import LADDER, ladder_instance
+from conftest import LADDER, integer_instance, ladder_instance
 
 
 def run_cli(argv):
@@ -191,6 +192,57 @@ class TestSolve:
         assert exc.value.code == 2
 
 
+def wide_instances():
+    """Seeded systems of the sparsest-wide shapes (n = 8..10, m = 3..7), each
+    drawn with and without a negated duplicate column."""
+    rng = np.random.default_rng(808)
+    for n in (8, 9, 10):
+        for m in range(3, 8):
+            for negdup in (False, True):
+                yield integer_instance(rng, m, n, negdup)
+
+
+def l0_entries(sols) -> list[dict]:
+    """Report entries rendered one by one from solve_l0's SparseSolution objects."""
+    return [
+        {"x": s.x.tolist(), "support": list(s.support), "l0": s.l0, "residual": s.residual}
+        for s in sols
+    ]
+
+
+class TestSparsestReport:
+    @pytest.fixture()
+    def paths(self, ex1, tmp_path):
+        named = [("ex1", ex1), *((name, ladder_instance(name)) for name in LADDER)]
+        named += [(f"wide{i}", inst) for i, inst in enumerate(wide_instances())]
+        return [write_instance(tmp_path / f"{name}.txt", inst) for name, inst in named]
+
+    def test_solve_l0_bytes(self, paths):
+        for path in paths:
+            sols = solve_l0(load_instance(path))
+            want = {"mode": "l0", "k0": sols[0].l0, "solutions": l0_entries(sols)}
+            assert run_cli(["solve", path, "--l0"]) == (0, dump_json(want))
+            lines = ["mode l0"] + [
+                "x = (" + ", ".join(format_float(v) for v in s.x) + f")  l0 = {s.l0}"
+                for s in sols
+            ]
+            assert run_cli(["solve", path, "--l0", "--format", "text"]) == (0, "\n".join(lines) + "\n")
+
+    def test_analyze_sparsest_block(self, paths):
+        checked = 0
+        for path in paths:
+            inst = load_instance(path)
+            if inst.n - inst.m > 2:  # beyond the elimination cap for most wide shapes
+                continue
+            sols = solve_l0(inst)
+            code, text = run_cli(["analyze", path, "--p", "1"])
+            assert code == 0
+            block = json.loads(text)["sparsest"]
+            assert dump_json(block) == dump_json({"k0": sols[0].l0, "solutions": l0_entries(sols)})
+            checked += 1
+        assert checked >= 8
+
+
 class TestCurve:
     def test_csv_layout_and_minima(self, ex1_file, tmp_path):
         out = tmp_path / "curve.csv"
@@ -255,6 +307,14 @@ class TestScan:
         code, text = run_cli(["scan", ex1_file, "--p-grid", "0.95,1.0", "--format", "csv"])
         assert code == 0
         assert text.splitlines()[0] == "p,holds,lp_l0,in_box"
+
+    def test_text_table_prints_p_round_trip(self, ex1_file):
+        code, text = run_cli(["scan", ex1_file, "--p-grid", "0.1234567891,1.0", "--format", "text"])
+        assert code == 0
+        lines = text.splitlines()
+        assert [line.split()[0] for line in lines[1:3]] == ["0.1234567891", "1.0"]
+        assert lines[2].startswith("1.0      True ")  # padded to the column width
+        assert lines[3] == "largest_prefix_hold = 1.0"
 
     def test_empty_grid_is_usage_error(self, ex1_file):
         with pytest.raises(SystemExit) as exc:

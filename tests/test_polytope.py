@@ -26,9 +26,9 @@ from lpequiv.polytope import _dedup_points, _normalize_rows
 from conftest import (
     LADDER,
     ex1_point,
-    integer_instance,
     ladder_instance,
     random_corank1_instance,
+    seeded_small_instances,
 )
 
 
@@ -368,13 +368,6 @@ def sweep_g_vertices(param, r, rank_tol=1e-10):
         if s.size and np.count_nonzero(s > rank_tol * s[0]) == n:
             kept[key] = z
     return kept
-
-
-def seeded_small_instances():
-    rng = np.random.default_rng(55)
-    for m, n in ((1, 3), (2, 4), (1, 4), (3, 5), (2, 5)):
-        for negdup in (False, True):
-            yield integer_instance(rng, m, n, negdup)
 
 
 class TestGVerticesVsLiftSweep:

@@ -16,6 +16,7 @@ from lpequiv import (
     solve_l0,
     solve_lp_corank1,
     solve_lp_extreme,
+    solvers,
 )
 
 from conftest import (
@@ -24,6 +25,7 @@ from conftest import (
     ladder_instance,
     random_corank1_instance,
     random_instance,
+    seeded_small_instances,
 )
 
 
@@ -134,6 +136,48 @@ class TestSolveL0:
             sols = solve_l0(load_and_reduce([[1, 1e300, 1e300]], [1e300]))
         assert [s.support for s in sols] == [(0,), (1,), (2,)]
         np.testing.assert_array_equal([s.x for s in sols], [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    def test_sparsest_matches_per_row_rule(self, ex1):
+        # test-local per-row reading of the least-support rows of the table
+        for inst in (ex1, *map(ladder_instance, LADDER), *seeded_small_instances()):
+            table = basic_table(inst)
+            k0 = int(np.min(table.l0))
+            rows = np.flatnonzero(table.l0 == k0)
+            sols = solve_l0(inst)
+            assert len(sols) == len(rows)
+            for s, i in zip(sols, rows):
+                assert s.x.tobytes() == table.x[i].tobytes()
+                assert s.support == tuple(int(j) for j in np.flatnonzero(table.x[i]))
+                assert type(s.l0) is int and s.l0 == k0
+                assert type(s.residual) is float and s.residual == float(table.residual[i])
+
+
+def axis0_first(mask):
+    """Test-local reference: first row of each distinct mask, in sorted order."""
+    return np.unique(mask, axis=0, return_index=True)[1]
+
+
+class TestSupportDedup:
+    def test_packed_key_matches_axis0_unique(self):
+        rng = np.random.default_rng(70)
+        for n in range(1, 71):
+            rows = int(rng.integers(1, 50))
+            mask = rng.random((rows, n)) < rng.uniform(0.05, 0.95)
+            # repeat some rows, then shuffle, so first occurrences matter
+            mask = np.vstack([mask, mask[rng.integers(0, rows, size=rows // 2 + 1)]])
+            mask = mask[rng.permutation(mask.shape[0])]
+            np.testing.assert_array_equal(solvers._first_of_each(mask), axis0_first(mask))
+
+    def test_table_matches_axis0_dedup(self, ex1, monkeypatch):
+        instances = [ex1, *map(ladder_instance, LADDER), *seeded_small_instances()]
+        tables = [basic_table(inst) for inst in instances]
+        monkeypatch.setattr(solvers, "_first_of_each", axis0_first)
+        for inst, table in zip(instances, tables):
+            ref = basic_table(inst)
+            for name in ("x", "l0", "residual"):
+                got, want = getattr(table, name), getattr(ref, name)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), name
 
 
 class TestSolveLpExtreme:

@@ -18,6 +18,7 @@ from lpequiv import (
     solution_at,
 )
 
+from lpequiv.config import DEFAULT_TOLERANCES
 from lpequiv.system import _nonsingular
 
 from conftest import ex1_point
@@ -59,6 +60,58 @@ class TestLoadAndReduce:
         for _ in range(20):
             x = solution_at(param, rng.normal(size=param.d))
             assert np.max(np.abs(A @ x - b)) <= 1e-9 * (1 + np.max(np.abs(b)))
+
+
+def greedy_rows(A0, tol=DEFAULT_TOLERANCES):
+    """Test-local per-row loop: keep each row that raises the numerical rank."""
+    def rank(M):
+        s = np.linalg.svd(M, compute_uv=False)
+        return 0 if s[0] == 0.0 else int(np.count_nonzero(s > tol.rank * s[0]))
+
+    rank_a = rank(A0)
+    selected = []
+    for i in range(A0.shape[0]):
+        if len(selected) == rank_a:
+            break
+        if rank(A0[selected + [i]]) == len(selected) + 1:
+            selected.append(i)
+    return selected
+
+
+class TestRowSelection:
+    def test_full_rank_input_verbatim(self):
+        rng = np.random.default_rng(31)
+        for m, n in ((1, 2), (2, 5), (3, 4), (5, 9), (7, 10)):
+            for scale in (1e-8, 1.0, 1e8):
+                A0 = rng.normal(size=(m, n)) * scale
+                b0 = rng.normal(size=m)
+                inst = load_and_reduce(A0, b0)
+                assert inst.A.tobytes() == A0.tobytes() and inst.A.shape == A0.shape
+                assert inst.b.tobytes() == b0.tobytes()
+                assert greedy_rows(A0) == list(range(m))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # duplicate row
+            [[1.0, 2.0, 0.0, 1.0], [1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, -1.0]],
+            # third row is the sum of the first two
+            [[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, -1.0], [1.0, 3.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+            # zero row
+            [[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, -1.0]],
+            # first row is a combination of the next two
+            [[1.0, 4.0, 2.0, -1.0], [1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, -1.0], [0.0, 0.0, 0.0, 1.0]],
+        ],
+    )
+    def test_rank_deficient_rows_match_greedy_loop(self, rows):
+        A0 = np.array(rows)
+        x = np.array([1.0, -2.0, 0.5, 3.0])
+        b0 = A0 @ x
+        selected = greedy_rows(A0)
+        assert len(selected) == np.linalg.matrix_rank(A0) < A0.shape[0]
+        inst = load_and_reduce(A0, b0)
+        assert inst.A.tobytes() == A0[selected].tobytes()
+        assert inst.b.tobytes() == b0[selected].tobytes()
 
 
 class TestDecompose:
