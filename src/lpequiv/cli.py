@@ -168,6 +168,36 @@ def _sparsest_report(table) -> dict:
     }
 
 
+def _sparsest_json(table) -> str:
+    """``dump_json({"mode": "l0", **_sparsest_report(table)})``, byte for byte,
+    from one ``%`` call over the table's arrays.
+
+    The layout is dump_json's, fixed: keys sorted, two-space indents, ints by
+    ``%d`` and floats by ``%r`` (``float.__repr__``, which is what ``json``
+    writes). A table with a non-finite entry goes through dump_json, which
+    raises ValueError for it as before. ``TestSparsestReport`` and
+    ``TestSparsestJson`` in tests/test_cli.py pin the bytes to dump_json.
+    """
+    X, supports, residual = table.sparsest_rows()
+    rows, k0 = supports.shape
+    flat = np.column_stack([residual, supports, X])
+    if not np.isfinite(flat).all():
+        return dump_json({"mode": "l0", **_sparsest_report(table)})
+    row = (
+        f'    {{\n      "l0": {k0},\n      "residual": %r,\n      "support": [\n'
+        + ",\n".join(["        %d"] * k0)
+        + '\n      ],\n      "x": [\n'
+        + ",\n".join(["        %r"] * X.shape[1])
+        + "\n      ]\n    }"
+    )
+    template = (
+        f'{{\n  "k0": {k0},\n  "mode": "l0",\n  "solutions": [\n'
+        + ",\n".join([row] * rows)
+        + "\n  ]\n}\n"
+    )
+    return template % tuple(flat.ravel().tolist())
+
+
 def cmd_analyze(args, cfg: RunConfig, out) -> int:
     inst = load_instance(args.instance, tol=cfg.tolerances)
     table = basic_table(inst, tol=cfg.tolerances, caps=cfg.caps)
@@ -223,8 +253,12 @@ def _table_lines(rows: list[dict]) -> list[str]:
 
 def cmd_solve(args, cfg: RunConfig, out) -> int:
     inst = load_instance(args.instance, tol=cfg.tolerances)
+    fmt = args.format or cfg.output_format
     if args.l0:
         table = basic_table(inst, tol=cfg.tolerances, caps=cfg.caps)
+        if fmt != "text":
+            out.write(_sparsest_json(table))
+            return 0
         report = {"mode": "l0", **_sparsest_report(table)}
     else:
         lps = solve_lp_extreme(
@@ -246,7 +280,6 @@ def cmd_solve(args, cfg: RunConfig, out) -> int:
                 for s in lps
             ],
         }
-    fmt = args.format or cfg.output_format
     if fmt == "text":
         lines = [f"mode {report['mode']}"]
         for s in report["solutions"]:

@@ -159,8 +159,8 @@ def compute_bound(
     r = max(r0, r1)
     if radius_override is not None:
         r_used = float(radius_override)
-        if not r_used > 0.0:
-            raise ValueError(f"radius override must be positive, got {r_used}")
+        if not 0.0 < r_used < math.inf:
+            raise ValueError(f"radius override must be a positive finite number, got {r_used}")
         source = RADIUS_OVERRIDE
     else:
         r_used = r

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -268,8 +268,8 @@ def build_lambda(
     set that keeps the elimination small.
     """
     r = float(r)
-    if not r > 0.0:
-        raise ValueError(f"radius must be positive, got {r}")
+    if not 0.0 < r < inf:
+        raise ValueError(f"radius must be a positive finite number, got {r}")
     x_ls, N = param.x_ls, param.N
     n, d = x_ls.shape[0], param.d
     I = np.eye(n)

@@ -252,8 +252,8 @@ def solve_lp_extreme(
     param = table.param
     if radius_override is not None:
         r = float(radius_override)
-        if not r > 0.0:
-            raise ValueError(f"radius override must be positive, got {r}")
+        if not 0.0 < r < inf:
+            raise ValueError(f"radius override must be a positive finite number, got {r}")
     else:
         r = _quasinorm(param.x_ls, p)
         if not isfinite(r):

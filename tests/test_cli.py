@@ -1,5 +1,6 @@
 """Command-line interface: reports, formats, exit codes, config file."""
 import io
+import itertools
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from lpequiv import (
+    BasicTable,
     NoNonzeroCoordinate,
     compute_bound,
     equivalence,
@@ -16,7 +18,7 @@ from lpequiv import (
     solve_lp_extreme,
     verify_equivalence,
 )
-from lpequiv.cli import main
+from lpequiv.cli import _sparsest_json, _sparsest_report, main
 from lpequiv.report import dump_json, format_float
 
 from conftest import LADDER, integer_instance, ladder_instance
@@ -243,6 +245,69 @@ class TestSparsestReport:
         assert checked >= 8
 
 
+def hand_table(x, residual) -> BasicTable:
+    """A basic table built by hand; the renderer reads only x, residual and l0."""
+    x = np.array(x, dtype=float)
+    residual = np.array(residual, dtype=float)
+    return BasicTable(param=None, x=x, residual=residual, l0=np.count_nonzero(x, axis=1))
+
+
+def dict_json(table) -> str:
+    return dump_json({"mode": "l0", **_sparsest_report(table)})
+
+
+class TestSparsestJson:
+    """The %-format renderer of solve --l0 against dump_json of the dict report."""
+
+    def test_float_edges(self):
+        table = hand_table(
+            [
+                [1e16, -0.0, 1e-07, 0.0],
+                [0.0, 5e-324, -0.0, 1e300],
+                [-2.5, 0.0, 0.0, -1e-07],
+                [1.0, 2.0, 3.0, 0.0],  # l0 = 3: not among the sparsest rows
+            ],
+            [0.0, 5e-324, 1e-07, 1e300],
+        )
+        text = _sparsest_json(table)
+        assert text == dict_json(table)
+        assert '"x": [\n        1e+16,\n        -0.0,' in text
+        assert [s["support"] for s in json.loads(text)["solutions"]] == [[0, 2], [1, 3], [0, 3]]
+
+    def test_single_nonzero(self):
+        table = hand_table([[0.0, 3.5, 0.0], [-1.25, 0.0, 0.0]], [0.0, 2.2e-16])
+        assert _sparsest_json(table) == dict_json(table)
+        assert json.loads(_sparsest_json(table))["k0"] == 1
+
+    def test_252_rows_of_ten(self):
+        rng = np.random.default_rng(17)
+        x = np.zeros((252 + 10, 10))
+        for i, support in enumerate(itertools.combinations(range(10), 5)):
+            x[i, list(support)] = rng.standard_normal(5) * 10.0 ** rng.integers(-8, 9, 5)
+        x[252:, :6] = rng.standard_normal((10, 6))  # l0 = 6: left out
+        table = hand_table(x, np.abs(rng.standard_normal(262)) * 1e-15)
+        text = _sparsest_json(table)
+        assert text == dict_json(table)
+        assert len(json.loads(text)["solutions"]) == 252
+
+    @pytest.mark.parametrize("where", ["x", "residual"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_raises_like_dump_json(self, where, bad):
+        x = [[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]]
+        residual = [0.0, 0.0]
+        if where == "x":
+            x[1][2] = bad
+        else:
+            residual[1] = bad
+        table = hand_table(x, residual)
+        with pytest.raises(ValueError) as want:
+            dict_json(table)
+        with pytest.raises(ValueError) as got:
+            _sparsest_json(table)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
 class TestCurve:
     def test_csv_layout_and_minima(self, ex1_file, tmp_path):
         out = tmp_path / "curve.csv"
@@ -360,6 +425,34 @@ class TestErrorPaths:
         code, _ = run_cli(["analyze", "/nonexistent/path.txt"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--radius", "inf"],
+            ["analyze", "--radius", "inf", "--format", "text"],
+            ["analyze", "--radius", "nan"],
+            ["scan", "--radius", "inf", "--format", "text"],
+            ["scan", "--radius", "inf"],
+        ],
+    )
+    def test_non_finite_radius_exit2(self, ex1_file, argv, capsys):
+        code, text = run_cli([argv[0], ex1_file, *argv[1:]])
+        assert code == 2 and text == ""
+        value = argv[2]
+        assert capsys.readouterr().err == (
+            f"error: radius override must be a positive finite number, got {value}\n"
+        )
+
+    def test_non_finite_config_radius_exit2(self, ex1_file, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"radius_override": 1e999}')
+        monkeypatch.setenv("LPEQUIV_CONFIG", str(cfg))
+        code, text = run_cli(["solve", ex1_file, "--p", "0.5"])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            "error: radius override must be a positive finite number, got inf\n"
+        )
+
     def test_other_library_error_exit6(self, ex1_file, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise NoNonzeroCoordinate("all vertices are numerically zero")
@@ -389,6 +482,22 @@ class TestConfig:
         code, text = run_cli(["analyze", ex1_file, "--p", "0.95"])
         report = json.loads(text)
         assert [v["p"] for v in report["certificate"]["verifications"]] == [0.95]
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_config_format_picks_solve_l0_path(self, ex1_file, tmp_path, monkeypatch, fmt):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output_format": fmt}))
+        monkeypatch.setenv("LPEQUIV_CONFIG", str(cfg))
+        code, text = run_cli(["solve", ex1_file, "--l0"])
+        assert code == 0
+        # solve has no csv layout: that config falls back to JSON
+        flag = "text" if fmt == "text" else "json"
+        monkeypatch.delenv("LPEQUIV_CONFIG")
+        assert (code, text) == run_cli(["solve", ex1_file, "--l0", "--format", flag])
+        if fmt == "text":
+            assert text == "mode l0\nx = (1.45, 2.0, 0.0, 0.0)  l0 = 2\n"
+        else:
+            assert text == dump_json(json.loads(text))
 
     def test_bad_config_rejected(self, ex1_file, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lpequiv import (
+    build_lambda,
     certificate_report,
     compute_bound,
     compute_radii,
@@ -102,6 +103,15 @@ class TestComputeBound:
     def test_rejects_bad_override(self, ex1):
         with pytest.raises(ValueError):
             compute_bound(ex1, radius_override=-1.0)
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_rejects_non_finite_radius(self, ex1, r):
+        with pytest.raises(ValueError, match="radius override must be a positive finite number"):
+            compute_bound(ex1, radius_override=r)
+        with pytest.raises(ValueError, match="radius override must be a positive finite number"):
+            solve_lp_extreme(ex1, 0.5, radius_override=r)
+        with pytest.raises(ValueError, match="radius must be a positive finite number"):
+            build_lambda(decompose(ex1), r)
 
 
 class TestVerifyEquivalence:
