@@ -10,6 +10,7 @@ independent breakpoint oracle for one-dimensional solution sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb, inf, isfinite
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import BlowupLimit, CorankMismatch, NumericalRankFailure
-from .polytope import build_lambda
 from .system import Instance, SolutionParam, _nonsingular, decompose
 
 __all__ = [
@@ -50,19 +50,16 @@ class SparseSolution:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """A minimizer of sum(|x_i|^p) subject to A x = b.
+    """A minimizer of sum(|x_i|^p) subject to A x = b, with z = |x|.
 
-    ``vertex_certificate`` lists the rows of the lifted modulus system
-    ``build_lambda(param, radius_used)`` active at (z, c), where c are the
-    null-space coordinates of x; it is None for solutions produced by the
-    corank-1 breakpoint solver, which never builds the system.
+    ``radius_used`` is the box radius that bounds the minimizers; it is None
+    for solutions produced by the corank-1 breakpoint solver, which uses none.
     """
 
     p: float
     x: np.ndarray
     objective: float
     z: np.ndarray
-    vertex_certificate: tuple[int, ...] | None
     radius_used: float | None
     radius_active: bool = False
 
@@ -102,21 +99,33 @@ class BasicTable:
     the row's largest magnitude are exact zeros, so ``l0`` is the support
     size and ``sum(|x_i|^p)`` carries no dust. Among supports of one size,
     rows are ordered lexicographically by support. ``residual`` is the
-    max-norm residual of the block solve; ``param`` is the instance's
-    least-norm parameterization, kept so that one table serves every query
-    on the instance.
+    max-norm residual of the block solve. The table keeps the instance and
+    tolerances it was built from, so that one table serves every query on
+    the instance, and computes ``param`` on first read.
     """
 
-    param: SolutionParam
     x: np.ndarray
     residual: np.ndarray
     l0: np.ndarray
+    inst: Instance | None = None
+    tol: Tolerances = DEFAULT_TOLERANCES
 
     def __post_init__(self):
         for name in ("x", "residual", "l0"):
             a = np.array(getattr(self, name))
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    @cached_property
+    def param(self) -> SolutionParam:
+        """The least-norm parameterization, from one ``decompose`` on first read.
+
+        ``solve --l0`` never reads it, and needs none of decompose's checks:
+        the rank check repeats ``load_and_reduce``'s on the same rows, the
+        other three guard only ``x_ls`` and ``N``, and the rows pass the
+        table's own residual filter.
+        """
+        return decompose(self.inst, tol=self.tol)
 
     def minimizers(self, p: float) -> np.ndarray:
         """Rows within a 1e-10 relative tie of the least sum(|x_i|^p)."""
@@ -180,7 +189,6 @@ def basic_table(
             f"basic-solution table: n={n} unknowns ({comb(n, m)} column blocks) "
             f"beyond cap n_max={caps.n_max}"
         )
-    param = decompose(inst, tol=tol)
     blocks = np.array(list(combinations(range(n), m)), dtype=np.intp)
     sub = A[:, blocks].transpose(1, 0, 2)  # sub[k] = A[:, blocks[k]]
     ok = _nonsingular(sub, tol.rank)
@@ -197,10 +205,11 @@ def basic_table(
     # sorting the zero masks orders equal-size supports lexicographically
     first = _first_of_each(X == 0.0)
     return BasicTable(
-        param=param,
         x=X[first],
         residual=resid[first],
         l0=np.count_nonzero(X[first], axis=1),
+        inst=inst,
+        tol=tol,
     )
 
 
@@ -242,42 +251,33 @@ def solve_lp_extreme(
     override replaces that radius but not the minimizer set;
     ``radius_active`` flags minimizers that reach the override box, which
     shows the override does not bound them; it stays False under the
-    default radius, which bounds every minimizer by construction.
-    ``vertex_certificate`` lists the rows of the lifted system
-    ``build_lambda(param, radius_used)`` active at (z, c), with c the
-    null-space coordinates of x; no projection is built.
+    default radius, which bounds every minimizer by construction. Only the
+    default radius reads the table's ``param``.
     """
     p = _check_p(p)
     table = basic_table(inst, tol=tol, caps=caps)
-    param = table.param
     if radius_override is not None:
         r = float(radius_override)
         if not 0.0 < r < inf:
             raise ValueError(f"radius override must be a positive finite number, got {r}")
     else:
-        r = _quasinorm(param.x_ls, p)
+        r = _quasinorm(table.param.x_ls, p)
         if not isfinite(r):
             r = float(np.max(np.abs(table.x)))
     box = inf if radius_override is None else r - tol.dedup_tol(r)
-    lam = build_lambda(param, r, tol=tol, caps=caps)
     idx = table.minimizers(p)
     idx = idx[np.lexsort(np.abs(table.x[idx]).T[::-1])]
-    solutions: list[LpSolution] = []
-    for x in table.x[idx]:
-        z = np.abs(x)
-        lifted = np.concatenate([z, param.N.T @ (x - param.x_ls)])
-        solutions.append(
-            LpSolution(
-                p=p,
-                x=x,
-                objective=lp_objective(x, p),
-                z=z,
-                vertex_certificate=tuple(int(i) for i in lam.active_rows(lifted, tol)),
-                radius_used=r,
-                radius_active=bool(np.max(z) >= box),
-            )
+    return [
+        LpSolution(
+            p=p,
+            x=x,
+            objective=lp_objective(x, p),
+            z=np.abs(x),
+            radius_used=r,
+            radius_active=bool(np.max(np.abs(x)) >= box),
         )
-    return solutions
+        for x in table.x[idx]
+    ]
 
 
 def _quasinorm(x: np.ndarray, p: float) -> float:
@@ -326,6 +326,5 @@ def solve_lp_corank1(
         x=x,
         objective=lp_objective(x, p),
         z=np.abs(x),
-        vertex_certificate=None,
         radius_used=None,
     )

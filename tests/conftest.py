@@ -1,4 +1,5 @@
-"""Shared fixtures: canonical instances and small random-instance generators."""
+"""Shared fixtures: canonical instances, small random-instance generators and
+a text comparison that stays fast on long reports."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -101,3 +102,31 @@ def seeded_small_instances():
     for m, n in ((1, 3), (2, 4), (1, 4), (3, 5), (2, 5)):
         for negdup in (False, True):
             yield integer_instance(rng, m, n, negdup)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Fail unless the two texts are equal, naming the first line that differs.
+
+    A plain ``assert got == want`` on reports of many kilobytes makes pytest
+    diff them line by line, which can take minutes; this reports only the
+    line number, both lines and both lengths.
+    """
+    if got == want:
+        return
+    got_lines = got.splitlines(keepends=True)
+    want_lines = want.splitlines(keepends=True)
+    i = next(
+        (i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+        min(len(got_lines), len(want_lines)),
+    )
+
+    def line(lines):
+        return repr(lines[i]) if i < len(lines) else "(end of text)"
+
+    pytest.fail(
+        f"texts differ first at line {i + 1}:\n"
+        f"  got  {line(got_lines)}\n"
+        f"  want {line(want_lines)}\n"
+        f"lengths: got {len(got)} characters in {len(got_lines)} lines, "
+        f"want {len(want)} characters in {len(want_lines)} lines"
+    )

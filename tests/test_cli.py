@@ -10,18 +10,28 @@ import pytest
 from lpequiv import (
     BasicTable,
     NoNonzeroCoordinate,
+    basic_table,
+    cli,
     compute_bound,
+    decompose,
     equivalence,
     load_instance,
     scan_pstar,
     solve_l0,
     solve_lp_extreme,
+    solvers,
     verify_equivalence,
 )
 from lpequiv.cli import _sparsest_json, _sparsest_report, main
 from lpequiv.report import dump_json, format_float
 
-from conftest import LADDER, integer_instance, ladder_instance
+from conftest import (
+    LADDER,
+    assert_same_text,
+    integer_instance,
+    ladder_instance,
+    seeded_small_instances,
+)
 
 
 def run_cli(argv):
@@ -223,12 +233,16 @@ class TestSparsestReport:
         for path in paths:
             sols = solve_l0(load_instance(path))
             want = {"mode": "l0", "k0": sols[0].l0, "solutions": l0_entries(sols)}
-            assert run_cli(["solve", path, "--l0"]) == (0, dump_json(want))
+            code, text = run_cli(["solve", path, "--l0"])
+            assert code == 0
+            assert_same_text(text, dump_json(want))
             lines = ["mode l0"] + [
                 "x = (" + ", ".join(format_float(v) for v in s.x) + f")  l0 = {s.l0}"
                 for s in sols
             ]
-            assert run_cli(["solve", path, "--l0", "--format", "text"]) == (0, "\n".join(lines) + "\n")
+            code, text = run_cli(["solve", path, "--l0", "--format", "text"])
+            assert code == 0
+            assert_same_text(text, "\n".join(lines) + "\n")
 
     def test_analyze_sparsest_block(self, paths):
         checked = 0
@@ -245,11 +259,105 @@ class TestSparsestReport:
         assert checked >= 8
 
 
+class TestLpReport:
+    """solve --p output rendered from solve_lp_extreme's solutions by the
+    report's rule: radius_used once, then per minimizer x, objective, the
+    indices of its nonzeros, l0 and radius_active."""
+
+    def test_solve_p_bytes(self, tmp_path, ex1, pair11):
+        named = [("ex1", ex1), ("pair11", pair11)]
+        named += [(name, ladder_instance(name)) for name in LADDER]
+        named += [(f"small{i}", inst) for i, inst in enumerate(seeded_small_instances())]
+        for name, inst in named:
+            path = write_instance(tmp_path / f"{name}.txt", inst)
+            inst = load_instance(path)
+            sols = solve_lp_extreme(inst, 0.5)
+            want = {
+                "mode": "lp",
+                "p": 0.5,
+                "radius_used": sols[0].radius_used,
+                "solutions": [
+                    {
+                        "x": s.x.tolist(),
+                        "objective": s.objective,
+                        "support": [i for i, v in enumerate(s.x.tolist()) if v != 0.0],
+                        "l0": s.l0(),
+                        "radius_active": s.radius_active,
+                    }
+                    for s in sols
+                ],
+            }
+            code, text = run_cli(["solve", path, "--p", "0.5"])
+            assert code == 0
+            assert_same_text(text, dump_json(want))
+            lines = ["mode lp"] + [
+                "x = (" + ", ".join(format_float(v) for v in s.x) + f")  l0 = {s.l0()}"
+                for s in solve_lp_extreme(inst, 1.0)
+            ]
+            code, text = run_cli(["solve", path, "--p", "1", "--format", "text"])
+            assert code == 0
+            assert_same_text(text, "\n".join(lines) + "\n")
+
+
+@pytest.fixture()
+def decompose_calls(monkeypatch) -> list:
+    """Arguments of every decompose call made through the package's bindings."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    for module in (solvers, equivalence, cli):
+        monkeypatch.setattr(module, "decompose", counted)
+    return calls
+
+
+class TestDecomposeOnDemand:
+    """decompose runs once per table that reads its parameterization, and
+    never under solve --l0."""
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["solve", "--l0"], 0),
+            (["solve", "--l0", "--format", "text"], 0),
+            (["solve", "--p", "0.5"], 1),
+            (["solve", "--p", "1", "--format", "text"], 1),
+            (["analyze", "--p", "0.5,1"], 1),
+            (["analyze", "--format", "text"], 1),
+            (["scan", "--p-grid", "0.5,1"], 1),
+            (["scan", "--format", "csv"], 1),
+        ],
+    )
+    def test_cli_calls(self, ex1_file, decompose_calls, argv, calls):
+        code, _ = run_cli([argv[0], ex1_file, *argv[1:]])
+        assert code == 0
+        assert len(decompose_calls) == calls
+
+    def test_solve_l0_never_decomposes(self, ex1, decompose_calls):
+        solve_l0(ex1)
+        assert decompose_calls == []
+
+    def test_param_computed_once(self, ex1, decompose_calls):
+        table = basic_table(ex1)
+        assert table.param is table.param
+        assert decompose_calls == [(ex1,)]
+
+    def test_param_equals_decompose_bit_for_bit(self, ex1, pair11):
+        instances = [ex1, pair11, *map(ladder_instance, LADDER), *seeded_small_instances()]
+        for inst in instances:
+            got, want = basic_table(inst).param, decompose(inst)
+            assert got.instance is inst and got.d == want.d
+            for a, b in ((got.x_ls, want.x_ls), (got.N, want.N)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def hand_table(x, residual) -> BasicTable:
     """A basic table built by hand; the renderer reads only x, residual and l0."""
     x = np.array(x, dtype=float)
     residual = np.array(residual, dtype=float)
-    return BasicTable(param=None, x=x, residual=residual, l0=np.count_nonzero(x, axis=1))
+    return BasicTable(x=x, residual=residual, l0=np.count_nonzero(x, axis=1))
 
 
 def dict_json(table) -> str:
@@ -270,13 +378,13 @@ class TestSparsestJson:
             [0.0, 5e-324, 1e-07, 1e300],
         )
         text = _sparsest_json(table)
-        assert text == dict_json(table)
+        assert_same_text(text, dict_json(table))
         assert '"x": [\n        1e+16,\n        -0.0,' in text
         assert [s["support"] for s in json.loads(text)["solutions"]] == [[0, 2], [1, 3], [0, 3]]
 
     def test_single_nonzero(self):
         table = hand_table([[0.0, 3.5, 0.0], [-1.25, 0.0, 0.0]], [0.0, 2.2e-16])
-        assert _sparsest_json(table) == dict_json(table)
+        assert_same_text(_sparsest_json(table), dict_json(table))
         assert json.loads(_sparsest_json(table))["k0"] == 1
 
     def test_252_rows_of_ten(self):
@@ -287,7 +395,7 @@ class TestSparsestJson:
         x[252:, :6] = rng.standard_normal((10, 6))  # l0 = 6: left out
         table = hand_table(x, np.abs(rng.standard_normal(262)) * 1e-15)
         text = _sparsest_json(table)
-        assert text == dict_json(table)
+        assert_same_text(text, dict_json(table))
         assert len(json.loads(text)["solutions"]) == 252
 
     @pytest.mark.parametrize("where", ["x", "residual"])

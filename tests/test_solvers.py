@@ -221,10 +221,6 @@ class TestSolveLpExtreme:
         xs = sorted(tuple(np.round(s.x, 9)) for s in sols)
         assert xs == [(0.0, 1.0), (1.0, 0.0)]
 
-    def test_vertex_certificate_present(self, ex1):
-        s = solve_lp_extreme(ex1, 0.8)[0]
-        assert s.vertex_certificate is not None and len(s.vertex_certificate) >= 4
-
     def test_tiny_exponent_default_radius(self):
         # ||x_ls||_p passes the float range at p = 0.001 on this 3x5 system
         inst = ladder_instance("3x5")
