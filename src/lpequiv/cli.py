@@ -35,7 +35,7 @@ from .errors import (
     ZeroRhs,
 )
 from .report import dump_csv, dump_json, format_float
-from .solvers import basic_table, lp_objective, solve_lp_extreme
+from .solvers import _line_breakpoints, basic_table, lp_objective, solve_lp_extreme
 from .system import decompose, load_instance
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -84,17 +84,26 @@ def load_config(env: dict | None = None) -> RunConfig:
         return RunConfig()
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
     tol = Tolerances(**raw.get("tolerances", {}))
     caps = Caps(**raw.get("caps", {}))
     radius = raw.get("radius_override")
-    p_values = tuple(float(p) for p in raw.get("p_values", DEFAULT_P_VALUES))
     t_range = raw.get("t_range", DEFAULT_T_RANGE)
+    if not isinstance(t_range, (list, tuple)) or len(t_range) != 3:
+        raise ValueError("config t_range must be a list [MIN, MAX, STEPS]")
+    try:
+        radius = None if radius is None else float(radius)
+        p_values = tuple(float(p) for p in raw.get("p_values", DEFAULT_P_VALUES))
+        t_range = (float(t_range[0]), float(t_range[1]), int(t_range[2]))
+    except OverflowError as exc:
+        raise ValueError(f"config value out of range: {exc}") from exc
     return RunConfig(
         tolerances=tol,
         caps=caps,
-        radius_override=None if radius is None else float(radius),
+        radius_override=radius,
         p_values=p_values,
-        t_range=(float(t_range[0]), float(t_range[1]), int(t_range[2])),
+        t_range=t_range,
         output_format=raw.get("output_format", "json"),
     )
 
@@ -304,20 +313,16 @@ def cmd_curve(args, cfg: RunConfig, out) -> int:
         raise ValueError("t range must satisfy MIN < MAX and STEPS >= 2")
     u = param.N[:, 0]
     x_ls = param.x_ls
+    coords, breaks = _line_breakpoints(param)
     # The curve parameter is the first coordinate that varies along the line.
-    j = int(np.flatnonzero(np.abs(u) > 1e-12)[0])
+    j = int(coords[0])
 
     def x_of_t(t: float) -> np.ndarray:
         c = (t - x_ls[j]) / u[j]
         return x_ls + c * u
 
-    breaks = sorted(
-        float(x_ls[j] + (-x_ls[i] / u[i]) * u[j])
-        for i in range(u.shape[0])
-        if abs(u[i]) > 1e-12
-    )
     uniq_breaks: list[float] = []
-    for t in breaks:
+    for t in np.sort(x_ls[j] + breaks * u[j]).tolist():
         if not uniq_breaks or abs(t - uniq_breaks[-1]) > 1e-9 * (1.0 + abs(t)):
             uniq_breaks.append(t)
 

@@ -1,12 +1,25 @@
 """Centralized tolerance and size-cap configuration.
 
-Every numeric decision in the library (feasibility, rank, support counting,
-vertex identity) goes through one of these knobs, so a single record controls
-the meaning of "zero" everywhere.
+The feasibility, rank, support-counting and vertex-identity decisions go
+through these knobs. Some fixed literals still bypass them (ROADMAP item 13
+replaces them with exact decisions):
+
+- the 1e-10 relative objective tie in ``BasicTable.minimizers``;
+- the 1e-12 cutoffs on ``|u_i|`` of a coordinate that varies along a
+  corank-1 line (``solvers._line_breakpoints``), on the p_bound denominator
+  in ``compute_bound`` and on the Hadamard-scaled determinant of a
+  candidate vertex system in polytope;
+- the 1e-14 strict-improvement margin in ``solve_lp_corank1``;
+- the 1e-9 breakpoint merge in ``curve``;
+- in polytope, the 12-decimal rounding that merges duplicate half-space
+  rows, the 10-decimal rounding that merges duplicate vertices, the 1e-13
+  coefficient snap and the 1e-10 recession-ray cutoff.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+__all__ = ["Tolerances", "Caps", "DEFAULT_TOLERANCES", "DEFAULT_CAPS"]
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ class EquivalenceCertificate:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Per-exponent table plus summary markers.
+    """Certificate with one verification per grid exponent, plus summary markers.
 
     The equivalence region need not be an interval, so the summary reports
     only grid facts: the largest grid value up to which every grid point
@@ -84,7 +84,6 @@ class ScanResult:
     """
 
     certificate: EquivalenceCertificate
-    table: tuple[PVerification, ...]
     largest_prefix_hold: float | None
     smallest_fail: float | None
 
@@ -257,7 +256,6 @@ def scan_pstar(
     )
     return ScanResult(
         certificate=cert,
-        table=cert.verifications,
         largest_prefix_hold=largest_prefix,
         smallest_fail=smallest_fail,
     )

@@ -1,5 +1,19 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "LpEquivError",
+    "InstanceParseError",
+    "InconsistentSystem",
+    "ZeroRhs",
+    "NotUnderdetermined",
+    "NumericalRankFailure",
+    "DimensionMismatch",
+    "BlowupLimit",
+    "Unbounded",
+    "CorankMismatch",
+    "NoNonzeroCoordinate",
+]
+
 
 class LpEquivError(Exception):
     """Base class for all library errors."""

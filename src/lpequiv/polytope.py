@@ -112,10 +112,6 @@ class HPolyhedron:
         atol = tol.feas_tol(scale)[:, None] * self.row_scales()[None, :]
         return np.all(slack <= atol, axis=1)
 
-    def active_rows(self, z, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-        """Indices of the rows that hold with equality at z, within tolerance."""
-        return np.flatnonzero(self.active_mask(np.asarray(z, dtype=float)[None, :], tol)[0])
-
     def active_mask(self, Z: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
         """Row activity for points stacked in rows of Z: one slack matrix."""
         Z = np.asarray(Z, dtype=float)

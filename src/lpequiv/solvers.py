@@ -290,6 +290,15 @@ def _quasinorm(x: np.ndarray, p: float) -> float:
         return M * float(np.sum((a / M) ** p) ** (1.0 / p))
 
 
+def _line_breakpoints(param: SolutionParam) -> tuple[np.ndarray, np.ndarray]:
+    """(coords, c) on the corank-1 line x_ls + c u, u = N[:, 0]: the
+    coordinates that vary along it (|u_i| > 1e-12), ascending, and for each
+    the parameter c = -x_ls[i] / u[i] at which it vanishes."""
+    u = param.N[:, 0]
+    coords = np.flatnonzero(np.abs(u) > 1e-12)
+    return coords, -param.x_ls[coords] / u[coords]
+
+
 def solve_lp_corank1(
     inst: Instance,
     p: float,
@@ -308,12 +317,9 @@ def solve_lp_corank1(
         raise CorankMismatch(f"corank {param.d}, need exactly 1")
     u = param.N[:, 0]
     x_ls = param.x_ls
-    breaks = sorted(
-        float(-x_ls[i] / u[i]) for i in range(u.shape[0]) if abs(u[i]) > 1e-12
-    )
     best_t = None
     best_obj = np.inf
-    for t in breaks:
+    for t in np.sort(_line_breakpoints(param)[1]).tolist():
         obj = lp_objective(x_ls + t * u, p)
         if obj < best_obj * (1.0 - 1e-14) or best_t is None:
             best_obj = obj

@@ -15,9 +15,11 @@ from lpequiv import (
     compute_bound,
     decompose,
     equivalence,
+    load_and_reduce,
     load_instance,
     scan_pstar,
     solve_l0,
+    solve_lp_corank1,
     solve_lp_extreme,
     solvers,
     verify_equivalence,
@@ -30,6 +32,7 @@ from conftest import (
     assert_same_text,
     integer_instance,
     ladder_instance,
+    random_corank1_instance,
     seeded_small_instances,
 )
 
@@ -416,6 +419,25 @@ class TestSparsestJson:
         assert str(got.value) == str(want.value)
 
 
+def corank1_lines() -> dict:
+    """name -> (A, b), or None for ex1's file: seeded corank-1 systems, a line
+    whose curve coordinate falls as c rises, and one with two breakpoints
+    within 1e-9 of each other."""
+    rng = np.random.default_rng(11)
+    systems = {"ex1": None}
+    for k, n in enumerate((2, 3, 3, 4, 4, 5)):
+        inst = random_corank1_instance(rng, n)
+        systems[f"seeded{k}"] = (inst.A, inst.b)
+    # u = (-1, 2)/sqrt(5) after sign canonicalization, so u[0] < 0
+    systems["falling"] = ([[2.0, 1.0]], [1.0])
+    # x3 vanishes at t = x1 = 1 and x2 at t = 1 - 1e-11: one marked row
+    systems["double"] = ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [1.0, 1e-11])
+    return systems
+
+
+CORANK1_LINES = corank1_lines()
+
+
 class TestCurve:
     def test_csv_layout_and_minima(self, ex1_file, tmp_path):
         out = tmp_path / "curve.csv"
@@ -455,6 +477,43 @@ class TestCurve:
         assert len(uniform) == 3
         for r in uniform:  # |t| + |1 - t| is constant 1 on [0, 1]
             assert r[1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", list(CORANK1_LINES))
+    def test_marked_rows_are_the_solver_breakpoints(self, name, ex1_file, tmp_path):
+        """curve marks exactly the breakpoints solve_lp_corank1 scans, mapped
+        to t = x_ls[j] + c u[j], sorted, and merged within 1e-9 relative."""
+        system = CORANK1_LINES[name]
+        if system is None:
+            path = ex1_file
+        else:
+            A, b = system
+            path = write_instance(tmp_path / "line.txt", load_and_reduce(A, b))
+        out = tmp_path / "c.csv"
+        code, _ = run_cli(["curve", path, "--p-list", "0.5,1", "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()[1:]
+        marked = [float(line.split(",")[0]) for line in lines if line.endswith(",1")]
+
+        inst = load_instance(path)
+        param = decompose(inst)
+        u, x_ls = param.N[:, 0], param.x_ls
+        coords, c = solvers._line_breakpoints(param)
+        assert coords.tolist() == np.flatnonzero(np.abs(u) > 1e-12).tolist()
+        np.testing.assert_allclose(x_ls[coords] + c * u[coords], 0.0, atol=1e-9)
+        j = coords[0]
+        ts = sorted((x_ls[j] + c * u[j]).tolist())
+        merged = []
+        for t in ts:
+            if not merged or abs(t - merged[-1]) > 1e-9 * (1.0 + abs(t)):
+                merged.append(t)
+        assert marked == merged
+        if name == "falling":
+            assert u[j] < 0 and np.argsort(c).tolist() == np.argsort(ts)[::-1].tolist()
+        if name == "double":
+            assert len(set(ts)) == len(ts) and len(merged) == len(ts) - 1
+        for p in (0.5, 1.0):
+            x = solve_lp_corank1(inst, p).x
+            assert any(abs(x[j] - t) <= 1e-9 * (1.0 + abs(t)) for t in marked)
 
     def test_corank_mismatch_exit_code(self, tmp_path):
         f = tmp_path / "wide.txt"
@@ -613,6 +672,25 @@ class TestConfig:
         monkeypatch.setenv("LPEQUIV_CONFIG", str(cfg))
         code, _ = run_cli(["analyze", ex1_file])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "[]",
+            '{"t_range": [0, 1]}',
+            '{"t_range": [0, 1, 1e400]}',
+            '{"radius_override": 1' + "0" * 400 + "}",
+        ],
+        ids=["not-an-object", "short-t-range", "infinite-steps", "radius-past-float"],
+    )
+    def test_malformed_config_exit2(self, ex1_file, tmp_path, monkeypatch, capsys, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(raw)
+        monkeypatch.setenv("LPEQUIV_CONFIG", str(cfg))
+        code, text = run_cli(["analyze", ex1_file])
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestDeterminism:

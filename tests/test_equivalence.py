@@ -145,7 +145,7 @@ class TestVerifyEquivalence:
 class TestScan:
     def test_ex1_grid(self, ex1):
         res = scan_pstar(ex1, [0.05, 0.1, 0.13, 0.5, 0.8, 0.95, 1.0])
-        outcome = {v.p: v.holds for v in res.table}
+        outcome = {v.p: v.holds for v in res.certificate.verifications}
         assert outcome[0.05] and outcome[0.1] and outcome[0.13]
         assert not outcome[0.8]
         assert outcome[0.95] and outcome[1.0]
@@ -155,13 +155,14 @@ class TestScan:
 
     def test_capped_instance_all_hold(self, pair11):
         res = scan_pstar(pair11, [0.25, 0.5, 0.75])
-        assert all(v.holds for v in res.table)
+        assert all(v.holds for v in res.certificate.verifications)
         assert res.smallest_fail is None
         assert res.largest_prefix_hold == 0.75
 
     def test_single_point_grid(self, ex1):
         res = scan_pstar(ex1, [0.95])
-        assert len(res.table) == 1 and res.table[0].holds
+        vers = res.certificate.verifications
+        assert len(vers) == 1 and vers[0].holds
 
     def test_grid_validation(self, ex1):
         with pytest.raises(ValueError):
@@ -209,7 +210,7 @@ class TestMetamorphic:
     def summary(cls, A, b):
         res = scan_pstar(load_and_reduce(A, b), cls.GRID)
         cert = res.certificate
-        return cert.k0, cert.r_m, cert.p_bound, [v.holds for v in res.table]
+        return cert.k0, cert.r_m, cert.p_bound, [v.holds for v in cert.verifications]
 
     @staticmethod
     def transforms(rng, A, b):

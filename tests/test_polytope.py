@@ -364,7 +364,7 @@ def sweep_g_vertices(param, r, rank_tol=1e-10):
         key = tuple(np.round(z, 9))
         if key in kept:
             continue
-        s = np.linalg.svd(gp.H[gp.active_rows(z)], compute_uv=False)
+        s = np.linalg.svd(gp.H[gp.active_mask(z[None, :])[0]], compute_uv=False)
         if s.size and np.count_nonzero(s > rank_tol * s[0]) == n:
             kept[key] = z
     return kept
